@@ -27,8 +27,10 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")  # allow running from a source checkout
+# allow running from a source checkout, from any working directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from keyauth.scenarios import (
     SCENARIO_NAMES,

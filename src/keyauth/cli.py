@@ -61,10 +61,7 @@ HUMAN = "human"
 MACHINE = "machine"
 
 _KEY_TYPE_ALIASES = {
-    "identity": KeyType.IDENTITY_ED25519,
-    "chat": KeyType.CHAT_X25519,
-    "sharing": KeyType.SHARING_RSA,
-    **{key_type.label: key_type for key_type in KeyType},
+    name: key_type for key_type in KeyType for name in (key_type.alias, key_type.label)
 }
 
 
@@ -107,12 +104,13 @@ def _ring_path(identity_dir: Path, key_type: KeyType) -> Path:
 
 def _write_private_file(path: Path, lines: list[bytes]) -> None:
     text = "".join(base64.b64encode(line).decode("ascii") + "\n" for line in lines)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     try:
-        os.write(fd, text.encode("ascii"))
-    finally:
-        os.close(fd)
-    os.chmod(path, 0o600)  # pre-existing files keep their mode otherwise
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(text.encode("ascii"))
+        os.chmod(path, 0o600)  # pre-existing files keep their mode otherwise
+    except OSError as exc:
+        raise InitError(f"cannot write private key file {path}: {exc}") from exc
 
 
 def _read_private_lines(path: Path, expected: int) -> list[bytes] | None:
@@ -140,34 +138,21 @@ def load_own_material(identity_dir: Path) -> OwnKeyMaterial:
         if lines is not None:
             seed = lines[0]
             material.identity = IdentityKeyPair(
-                private=seed, public=_derive_or_fail(seed, KeyType.IDENTITY_ED25519)
+                private=seed, public=derive_ed25519_public(seed)
             )
         lines = _read_private_lines(_sk_path(identity_dir, KeyType.CHAT_X25519), 1)
         if lines is not None:
             scalar = lines[0]
-            material.chat = ChatKeyPair(
-                private=scalar, public=_derive_or_fail(scalar, KeyType.CHAT_X25519)
-            )
+            material.chat = ChatKeyPair(private=scalar, public=derive_x25519_public(scalar))
         lines = _read_private_lines(_sk_path(identity_dir, KeyType.SHARING_RSA), 5)
         if lines is not None:
-            material.sharing = SharingKeyPair(
-                modulus_n=lines[0],
-                public_exponent_e=lines[1],
-                private_d=lines[2],
-                prime_p=lines[3],
-                prime_q=lines[4],
-            )
+            n, e, d, p, q = lines
+            material.sharing = SharingKeyPair(n, e, d, p, q)
     except KeyAuthError as exc:
         if isinstance(exc, InitError):
             raise
         raise InitError(f"private key material unreadable: {exc}") from exc
     return material
-
-
-def _derive_or_fail(private: bytes, key_type: KeyType) -> bytes:
-    if key_type is KeyType.IDENTITY_ED25519:
-        return derive_ed25519_public(private)
-    return derive_x25519_public(private)
 
 
 def save_own_material(identity_dir: Path, material: OwnKeyMaterial) -> None:
@@ -199,7 +184,11 @@ def load_rings(identity_dir: Path) -> dict[KeyType, AuthRing]:
     for key_type in KeyType:
         path = _ring_path(identity_dir, key_type)
         if path.exists():
-            rings[key_type] = AuthRing.from_bytes(path.read_bytes())
+            try:
+                data = path.read_bytes()
+            except OSError as exc:
+                raise InitError(f"cannot read ring file {path}: {exc}") from exc
+            rings[key_type] = AuthRing.from_bytes(data)
             if rings[key_type].key_type is not key_type:
                 raise InitError(
                     f"ring file {path} holds a {rings[key_type].key_type.label} ring"
@@ -211,7 +200,11 @@ def load_rings(identity_dir: Path) -> dict[KeyType, AuthRing]:
 
 def save_rings(identity_dir: Path, rings: dict[KeyType, AuthRing]) -> None:
     for key_type, ring in rings.items():
-        _ring_path(identity_dir, key_type).write_bytes(ring.to_bytes())
+        path = _ring_path(identity_dir, key_type)
+        try:
+            path.write_bytes(ring.to_bytes())
+        except OSError as exc:
+            raise InitError(f"cannot write ring file {path}: {exc}") from exc
 
 
 # -- command helpers ----------------------------------------------------------
@@ -237,14 +230,6 @@ def _open_session(config: CliConfig) -> Session:
     rings = load_rings(config.identity_dir)
     store = AttributeStore(config.store_path)
     return Session(store, config.user_handle, rings=rings)
-
-
-def _print_key_value(config: CliConfig, fields: list[tuple[str, str]]) -> None:
-    if config.output_mode == MACHINE:
-        print("\t".join(value for _, value in fields))
-    else:
-        for name, value in fields:
-            print(f"{name}: {value}")
 
 
 # -- commands -----------------------------------------------------------------
@@ -348,16 +333,17 @@ def cmd_fetch(config: CliConfig, args) -> int:
             loaded = session.load_signed_key(args.handle, key_type)
     finally:
         save_rings(config.identity_dir, session.rings)
-    fetches = session.store.stats().total - before
-    _print_key_value(
-        config,
-        [
-            ("key type", key_type.label),
-            ("public key", base64.b64encode(loaded.public_octets).decode("ascii")),
-            ("method", loaded.method.label),
-            ("fetches", str(fetches)),
-        ],
-    )
+    fields = [
+        ("key type", key_type.label),
+        ("public key", base64.b64encode(loaded.public_octets).decode("ascii")),
+        ("method", loaded.method.label),
+        ("fetches", str(session.store.stats().total - before)),
+    ]
+    if config.output_mode == MACHINE:
+        print("\t".join(value for _, value in fields))
+    else:
+        for name, value in fields:
+            print(f"{name}: {value}")
     return EXIT_OK
 
 

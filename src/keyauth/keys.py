@@ -41,19 +41,27 @@ _RSA_PROBE_BLOCK = b"\x5a" * 190
 
 
 class KeyType(Enum):
-    """The three key types, with their wire tag octets."""
+    """The three key types and every per-type fact the layers share.
 
-    IDENTITY_ED25519 = 0x00
-    CHAT_X25519 = 0x01
-    SHARING_RSA = 0x02
+    Each member carries its wire ``tag`` octet (also the enum value), its
+    ``label`` (file names and reports), its short CLI ``alias``, the store
+    attribute holding its public key (``key_attribute``) and, for the two
+    sub-keys, the one holding the identity key's attestation
+    (``signature_attribute``, None for the identity key).
+    """
 
-    @property
-    def tag(self) -> int:
-        return self.value
+    IDENTITY_ED25519 = (0x00, "identity-ed25519", "identity", "ed25519_pub", None)
+    CHAT_X25519 = (0x01, "chat-x25519", "chat", "x25519_pub", "sig_x25519")
+    SHARING_RSA = (0x02, "sharing-rsa", "sharing", "rsa_pub", "sig_rsa")
 
-    @property
-    def label(self) -> str:
-        return _TYPE_LABELS[self]
+    def __new__(cls, tag, label, alias, key_attribute, signature_attribute):
+        member = object.__new__(cls)
+        member._value_ = member.tag = tag
+        member.label = label
+        member.alias = alias
+        member.key_attribute = key_attribute
+        member.signature_attribute = signature_attribute
+        return member
 
     @classmethod
     def from_tag(cls, tag: int) -> "KeyType":
@@ -64,17 +72,14 @@ class KeyType(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "KeyType":
-        for key_type, known in _TYPE_LABELS.items():
-            if label == known:
+        for key_type in cls:
+            if label == key_type.label:
                 return key_type
         raise ParameterError(f"unknown key type label {label!r}")
 
 
-_TYPE_LABELS = {
-    KeyType.IDENTITY_ED25519: "identity-ed25519",
-    KeyType.CHAT_X25519: "chat-x25519",
-    KeyType.SHARING_RSA: "sharing-rsa",
-}
+# the key types the identity key attests, in report order
+SUB_KEY_TYPES = (KeyType.CHAT_X25519, KeyType.SHARING_RSA)
 
 
 @dataclass(frozen=True)
@@ -381,8 +386,12 @@ def fingerprint_rsa(modulus_n: bytes, exponent_e: bytes) -> Fingerprint:
     return Fingerprint(digest[:FINGERPRINT_OCTETS])
 
 
-def fingerprint_hex(fingerprint: Fingerprint) -> str:
-    return fingerprint.hex()
+def fingerprint_for(key_type: KeyType, public_octets: bytes) -> Fingerprint:
+    """Fingerprint of a key's public octets as published in the store,
+    where the RSA key is length-framed."""
+    if key_type is KeyType.SHARING_RSA:
+        return fingerprint_rsa(*unframe_rsa_public(public_octets))
+    return fingerprint_ec(public_octets)
 
 
 def frame_rsa_public(modulus_n: bytes, exponent_e: bytes) -> bytes:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .authring import AuthMethod
 from .errors import (
@@ -23,6 +23,7 @@ from .errors import (
     SignatureInvalidError,
 )
 from .keys import (
+    SUB_KEY_TYPES,
     KeyType,
     SharingKeyPair,
     fingerprint_ec,
@@ -35,8 +36,6 @@ from .store import (
     ADVERSARY_SUBSTITUTE_KEY,
     AdversaryConfig,
     AttributeStore,
-    KEY_ATTRIBUTE_FOR_TYPE,
-    SIGNATURE_ATTRIBUTE_FOR_TYPE,
 )
 from .workflow import OwnKeyMaterial, Session, init_own_keys
 
@@ -45,19 +44,43 @@ OUTCOME_FINGERPRINT_MISMATCH = "fingerprint-mismatch"
 OUTCOME_SIGNATURE_INVALID = "signature-invalid"
 OUTCOME_KEY_CHANGED = "key-changed-warning"
 
-SCENARIO_MITM_IDENTITY_PRE = "mitm-identity-pre"
-SCENARIO_MITM_IDENTITY_POST = "mitm-identity-post"
-SCENARIO_MITM_SUBKEY_PRE = "mitm-subkey-pre"
-SCENARIO_MITM_SUBKEY_POST = "mitm-subkey-post"
-SCENARIO_STRIP_SIGNATURE = "strip-signature"
 
-SCENARIO_NAMES = (
-    SCENARIO_MITM_IDENTITY_PRE,
-    SCENARIO_MITM_IDENTITY_POST,
-    SCENARIO_MITM_SUBKEY_PRE,
-    SCENARIO_MITM_SUBKEY_POST,
-    SCENARIO_STRIP_SIGNATURE,
-)
+class _Scenario(NamedTuple):
+    """One attack: the outcomes it may produce, the key it targets (None: a
+    sub-key type drawn per run), whether the verifier loads that key
+    honestly before the adversary acts, and the adversary mode."""
+
+    expected: tuple[str, ...]
+    target: KeyType | None
+    honest_first_load: bool
+    mode: str
+
+
+_SCENARIOS = {
+    "mitm-identity-pre": _Scenario(
+        (OUTCOME_NO_ALARM,), KeyType.IDENTITY_ED25519, False, ADVERSARY_SUBSTITUTE_KEY
+    ),
+    "mitm-identity-post": _Scenario(
+        (OUTCOME_FINGERPRINT_MISMATCH,),
+        KeyType.IDENTITY_ED25519,
+        True,
+        ADVERSARY_SUBSTITUTE_KEY,
+    ),
+    "mitm-subkey-pre": _Scenario(
+        (OUTCOME_SIGNATURE_INVALID,), None, False, ADVERSARY_SUBSTITUTE_KEY
+    ),
+    "mitm-subkey-post": _Scenario(
+        (OUTCOME_SIGNATURE_INVALID, OUTCOME_FINGERPRINT_MISMATCH),
+        None,
+        True,
+        ADVERSARY_SUBSTITUTE_KEY,
+    ),
+    "strip-signature": _Scenario(
+        (OUTCOME_NO_ALARM,), None, True, ADVERSARY_STRIP_SIGNATURE
+    ),
+}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 @dataclass
@@ -74,9 +97,18 @@ class ScenarioReport:
     def ok(self) -> bool:
         return self.checks_ok and self.observed in self.expected
 
+    def check(self, condition: bool, note: str) -> None:
+        """Record a post-condition as a note; a failed one fails the run."""
+        if condition:
+            self.notes.append(f"ok: {note}")
+        else:
+            self.notes.append(f"FAILED: {note}")
+            self.checks_ok = False
+
 
 class ScenarioWorld:
-    """One scenario's universe: an in-memory store, a victim, a verifier.
+    """One scenario's universe: an in-memory store, its randomness, and
+    the RSA pool.
 
     RSA generation dominates setup cost, so batch runs may hand in a pool
     of pregenerated sharing pairs; victims and attackers then draw distinct
@@ -92,59 +124,22 @@ class ScenarioWorld:
         self.rng = rng
         self.store = AttributeStore()
         self._rsa_pool = list(rsa_pool) if rsa_pool else []
-        self._pool_used: list[int] = []
 
-    def _sharing_pair(self) -> SharingKeyPair:
-        available = [
-            index for index in range(len(self._rsa_pool)) if index not in self._pool_used
-        ]
-        if not available:
+    def sharing_pair(self) -> SharingKeyPair:
+        """A pool member not drawn before, or a fresh pair once none is left."""
+        if not self._rsa_pool:
             return generate_sharing_keypair()
-        choice = self.rng.choice(available)
-        self._pool_used.append(choice)
-        return self._rsa_pool[choice]
+        return self._rsa_pool.pop(self.rng.randrange(len(self._rsa_pool)))
 
     def handle(self, prefix: str) -> str:
         return f"{prefix}-{self.rng.randrange(16**6):06x}"
-
-    def make_victim(self, prefix: str = "victim") -> Session:
-        """A fully initialised user whose keys the verifier will load."""
-        material = OwnKeyMaterial(sharing=self._sharing_pair())
-        session, _ = init_own_keys(self.store, self.handle(prefix), existing=material)
-        return session
-
-    def make_verifier(self, prefix: str = "verifier") -> Session:
-        """A user who only loads others' keys; own material is irrelevant."""
-        return Session(self.store, self.handle(prefix))
-
-    def substitute(self, handle: str, attribute: str, replacement: bytes) -> None:
-        self.store.set_adversary(
-            AdversaryConfig(
-                ADVERSARY_SUBSTITUTE_KEY,
-                target_handle=handle,
-                target_attribute=attribute,
-                replacement=replacement,
-            )
-        )
-
-    def strip_signature(self, handle: str, attribute: str) -> None:
-        self.store.set_adversary(
-            AdversaryConfig(
-                ADVERSARY_STRIP_SIGNATURE,
-                target_handle=handle,
-                target_attribute=attribute,
-            )
-        )
 
     def attacker_key_octets(self, key_type: KeyType) -> bytes:
         if key_type is KeyType.IDENTITY_ED25519:
             return generate_identity_keypair().public
         if key_type is KeyType.CHAT_X25519:
             return generate_chat_keypair().public
-        return self._sharing_pair().public_frame()
-
-    def pick_sub_key_type(self) -> KeyType:
-        return self.rng.choice((KeyType.CHAT_X25519, KeyType.SHARING_RSA))
+        return self.sharing_pair().public_frame()
 
 
 def _classify(action: Callable[[], object]) -> tuple[str, object]:
@@ -160,208 +155,111 @@ def _classify(action: Callable[[], object]) -> tuple[str, object]:
     return OUTCOME_NO_ALARM, value
 
 
-def _check(report: ScenarioReport, condition: bool, note: str) -> None:
-    if condition:
-        report.notes.append(f"ok: {note}")
-    else:
-        report.notes.append(f"FAILED: {note}")
-        report.checks_ok = False
-
-
-def _scenario_mitm_identity_pre(world: ScenarioWorld) -> ScenarioReport:
-    report = ScenarioReport(
-        SCENARIO_MITM_IDENTITY_PRE, expected=(OUTCOME_NO_ALARM,), observed=""
-    )
-    victim = world.make_victim()
-    verifier = world.make_verifier()
-    attacker_public = world.attacker_key_octets(KeyType.IDENTITY_ED25519)
-    world.substitute(victim.own_handle, "ed25519_pub", attacker_public)
-
-    observed, value = _classify(lambda: verifier.load_identity_key(victim.own_handle))
-    report.observed = observed
-    record = verifier.ring(KeyType.IDENTITY_ED25519).get(victim.own_handle)
-    _check(
-        report,
-        record is not None and record.fingerprint == fingerprint_ec(attacker_public),
-        "attacker key was pinned on first sight",
-    )
-    _check(
-        report,
-        record is not None and record.method is AuthMethod.SEEN,
-        "pin is only at strength seen",
-    )
-    report.notes.append(
-        "note: substitution before first contact is undetectable by design; "
-        "only an out-of-band fingerprint comparison would expose it"
-    )
-    return report
-
-
-def _scenario_mitm_identity_post(world: ScenarioWorld) -> ScenarioReport:
-    report = ScenarioReport(
-        SCENARIO_MITM_IDENTITY_POST,
-        expected=(OUTCOME_FINGERPRINT_MISMATCH,),
-        observed="",
-    )
-    victim = world.make_victim()
-    verifier = world.make_verifier()
-    honest_fingerprint = fingerprint_ec(victim.own_keys.identity.public)
-
-    first, _ = _classify(lambda: verifier.load_identity_key(victim.own_handle))
-    _check(report, first == OUTCOME_NO_ALARM, "honest first contact pinned the key")
-
-    attacker_public = world.attacker_key_octets(KeyType.IDENTITY_ED25519)
-    world.substitute(victim.own_handle, "ed25519_pub", attacker_public)
-    observed, value = _classify(lambda: verifier.load_identity_key(victim.own_handle))
-    report.observed = observed
-
-    record = verifier.ring(KeyType.IDENTITY_ED25519).get(victim.own_handle)
-    _check(
-        report,
-        record is not None and record.fingerprint == honest_fingerprint,
-        "ring still pins the honest fingerprint",
-    )
-    if isinstance(value, FingerprintMismatchError):
-        _check(
-            report,
-            value.tracked == honest_fingerprint
-            and value.observed == fingerprint_ec(attacker_public),
-            "alarm carries tracked and fetched fingerprints",
-        )
-    return report
-
-
-def _scenario_mitm_subkey_pre(world: ScenarioWorld) -> ScenarioReport:
-    report = ScenarioReport(
-        SCENARIO_MITM_SUBKEY_PRE, expected=(OUTCOME_SIGNATURE_INVALID,), observed=""
-    )
-    victim = world.make_victim()
-    verifier = world.make_verifier()
-    key_type = world.pick_sub_key_type()
-    report.notes.append(f"note: substituted sub-key is {key_type.label}")
-
-    replacement = world.attacker_key_octets(key_type)
-    world.substitute(victim.own_handle, KEY_ATTRIBUTE_FOR_TYPE[key_type], replacement)
-    observed, _ = _classify(
-        lambda: verifier.load_signed_key(victim.own_handle, key_type)
-    )
-    report.observed = observed
-
-    _check(
-        report,
-        verifier.ring(key_type).get(victim.own_handle) is None,
-        "forged sub-key was never tracked",
-    )
-    identity_record = verifier.ring(KeyType.IDENTITY_ED25519).get(victim.own_handle)
-    _check(
-        report,
-        identity_record is not None
-        and identity_record.fingerprint
-        == fingerprint_ec(victim.own_keys.identity.public),
-        "honest identity key was pinned while checking the signature",
-    )
-    return report
-
-
-def _scenario_mitm_subkey_post(world: ScenarioWorld) -> ScenarioReport:
-    report = ScenarioReport(
-        SCENARIO_MITM_SUBKEY_POST,
-        expected=(OUTCOME_SIGNATURE_INVALID, OUTCOME_FINGERPRINT_MISMATCH),
-        observed="",
-    )
-    victim = world.make_victim()
-    verifier = world.make_verifier()
-    key_type = world.pick_sub_key_type()
-    report.notes.append(f"note: substituted sub-key is {key_type.label}")
-
-    first, loaded = _classify(
-        lambda: verifier.load_signed_key(victim.own_handle, key_type)
-    )
-    _check(
-        report,
-        first == OUTCOME_NO_ALARM and loaded.method is AuthMethod.SIGNATURE_VERIFIED,
-        "honest first load verified the signature",
-    )
-    honest_record = verifier.ring(key_type).get(victim.own_handle)
-
-    replacement = world.attacker_key_octets(key_type)
-    world.substitute(victim.own_handle, KEY_ATTRIBUTE_FOR_TYPE[key_type], replacement)
-    observed, _ = _classify(
-        lambda: verifier.load_signed_key(victim.own_handle, key_type)
-    )
-    report.observed = observed
-
-    _check(
-        report,
-        verifier.ring(key_type).get(victim.own_handle) == honest_record,
-        "ring retains the honest fingerprint and method",
-    )
-    return report
-
-
-def _scenario_strip_signature(world: ScenarioWorld) -> ScenarioReport:
-    report = ScenarioReport(
-        SCENARIO_STRIP_SIGNATURE, expected=(OUTCOME_NO_ALARM,), observed=""
-    )
-    victim = world.make_victim()
-    verifier = world.make_verifier()
-    key_type = world.pick_sub_key_type()
-    report.notes.append(f"note: stripped signature is for {key_type.label}")
-
-    first, loaded = _classify(
-        lambda: verifier.load_signed_key(victim.own_handle, key_type)
-    )
-    _check(
-        report,
-        first == OUTCOME_NO_ALARM and loaded.method is AuthMethod.SIGNATURE_VERIFIED,
-        "honest first load verified the signature",
-    )
-
-    world.strip_signature(
-        victim.own_handle, SIGNATURE_ATTRIBUTE_FOR_TYPE[key_type]
-    )
-    world.store.reset_stats()
-    observed, value = _classify(
-        lambda: verifier.load_signed_key(victim.own_handle, key_type)
-    )
-    report.observed = observed
-
-    _check(
-        report,
-        getattr(value, "method", None) is AuthMethod.SIGNATURE_VERIFIED,
-        "reload still reports signature-verified strength",
-    )
-    _check(
-        report,
-        world.store.stats().total == 1,
-        "verified key reloads in a single fetch, so the stripped signature "
-        "is never even requested",
-    )
-    return report
-
-
-_SCENARIOS: dict[str, Callable[[ScenarioWorld], ScenarioReport]] = {
-    SCENARIO_MITM_IDENTITY_PRE: _scenario_mitm_identity_pre,
-    SCENARIO_MITM_IDENTITY_POST: _scenario_mitm_identity_post,
-    SCENARIO_MITM_SUBKEY_PRE: _scenario_mitm_subkey_pre,
-    SCENARIO_MITM_SUBKEY_POST: _scenario_mitm_subkey_post,
-    SCENARIO_STRIP_SIGNATURE: _scenario_strip_signature,
-}
-
-
 def run_scenario(
     name: str,
     rng: random.Random | None = None,
     rsa_pool: Sequence[SharingKeyPair] | None = None,
 ) -> ScenarioReport:
-    """Run one scenario in a fresh world and report the outcome."""
+    """Run one scenario in a fresh world and report the outcome.
+
+    A victim publishes honest keys and a verifier loads the target key,
+    once honestly if the scenario says so, then again under attack. The
+    alarm that load raises, if any, is the observed outcome; the notes
+    record what the verifier's rings hold afterwards.
+    """
     scenario = _SCENARIOS.get(name)
     if scenario is None:
         raise ParameterError(
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}"
         )
     world = ScenarioWorld(rng if rng is not None else random.Random(), rsa_pool)
-    return scenario(world)
+    store = world.store
+    material = OwnKeyMaterial(sharing=world.sharing_pair())
+    victim, _ = init_own_keys(store, world.handle("victim"), existing=material)
+    verifier = Session(store, world.handle("verifier"))
+    handle = victim.own_handle
+    honest_identity = victim.own_keys.identity.public
+    strip = scenario.mode == ADVERSARY_STRIP_SIGNATURE
+    report = ScenarioReport(name, scenario.expected, observed="")
+    key_type = scenario.target
+    if key_type is None:
+        key_type = world.rng.choice(SUB_KEY_TYPES)
+        what = "stripped signature is for" if strip else "substituted sub-key is"
+        report.notes.append(f"note: {what} {key_type.label}")
+    identity = key_type is KeyType.IDENTITY_ED25519
+    ring = verifier.ring(key_type)
+
+    def load():
+        if identity:
+            return verifier.load_identity_key(handle)
+        return verifier.load_signed_key(handle, key_type)
+
+    if scenario.honest_first_load:
+        first, loaded = _classify(load)
+        if identity:
+            report.check(first == OUTCOME_NO_ALARM, "honest first contact pinned the key")
+        else:
+            report.check(
+                first == OUTCOME_NO_ALARM
+                and loaded.method is AuthMethod.SIGNATURE_VERIFIED,
+                "honest first load verified the signature",
+            )
+    honest_record = ring.get(handle)
+
+    attribute = key_type.signature_attribute if strip else key_type.key_attribute
+    forged = None if strip else world.attacker_key_octets(key_type)
+    store.set_adversary(AdversaryConfig(scenario.mode, handle, attribute, forged))
+    store.reset_stats()
+    report.observed, value = _classify(load)
+    record = ring.get(handle)
+
+    if strip:
+        report.check(
+            getattr(value, "method", None) is AuthMethod.SIGNATURE_VERIFIED,
+            "reload still reports signature-verified strength",
+        )
+        report.check(
+            store.stats().total == 1,
+            "verified key reloads in a single fetch, so the stripped signature "
+            "is never even requested",
+        )
+    elif identity and scenario.honest_first_load:
+        honest = fingerprint_ec(honest_identity)
+        report.check(
+            record is not None and record.fingerprint == honest,
+            "ring still pins the honest fingerprint",
+        )
+        if isinstance(value, FingerprintMismatchError):
+            report.check(
+                value.tracked == honest and value.observed == fingerprint_ec(forged),
+                "alarm carries tracked and fetched fingerprints",
+            )
+    elif identity:
+        report.check(
+            record is not None and record.fingerprint == fingerprint_ec(forged),
+            "attacker key was pinned on first sight",
+        )
+        report.check(
+            record is not None and record.method is AuthMethod.SEEN,
+            "pin is only at strength seen",
+        )
+        report.notes.append(
+            "note: substitution before first contact is undetectable by design; "
+            "only an out-of-band fingerprint comparison would expose it"
+        )
+    elif scenario.honest_first_load:
+        report.check(
+            record == honest_record, "ring retains the honest fingerprint and method"
+        )
+    else:
+        report.check(record is None, "forged sub-key was never tracked")
+        identity_record = verifier.ring(KeyType.IDENTITY_ED25519).get(handle)
+        report.check(
+            identity_record is not None
+            and identity_record.fingerprint == fingerprint_ec(honest_identity),
+            "honest identity key was pinned while checking the signature",
+        )
+    return report
 
 
 def build_rsa_pool(size: int = 4) -> list[SharingKeyPair]:

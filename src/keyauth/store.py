@@ -18,29 +18,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ParameterError, PublishError, StoreUnavailableError
+from .errors import MalformedKeyError, ParameterError, PublishError, StoreUnavailableError
 from .keys import (
     EC_KEY_OCTETS,
-    KeyType,
     SIGNATURE_OCTETS,
+    SUB_KEY_TYPES,
+    KeyType,
     frame_rsa_public,
     unframe_rsa_public,
 )
 
-PUBLIC_KEY_ATTRIBUTES = ("ed25519_pub", "x25519_pub", "rsa_pub")
-SIGNATURE_ATTRIBUTES = ("sig_x25519", "sig_rsa")
+PUBLIC_KEY_ATTRIBUTES = tuple(key_type.key_attribute for key_type in KeyType)
+SIGNATURE_ATTRIBUTES = tuple(key_type.signature_attribute for key_type in SUB_KEY_TYPES)
 VALID_ATTRIBUTES = PUBLIC_KEY_ATTRIBUTES + SIGNATURE_ATTRIBUTES
-
-KEY_ATTRIBUTE_FOR_TYPE = {
-    KeyType.IDENTITY_ED25519: "ed25519_pub",
-    KeyType.CHAT_X25519: "x25519_pub",
-    KeyType.SHARING_RSA: "rsa_pub",
-}
-
-SIGNATURE_ATTRIBUTE_FOR_TYPE = {
-    KeyType.CHAT_X25519: "sig_x25519",
-    KeyType.SHARING_RSA: "sig_rsa",
-}
 
 ADVERSARY_SUBSTITUTE_KEY = "substitute_key"
 ADVERSARY_STRIP_SIGNATURE = "strip_signature"
@@ -49,23 +39,20 @@ ADVERSARY_STRIP_SIGNATURE = "strip_signature"
 def _validate_attribute_octets(attribute: str, octets: bytes) -> None:
     if not isinstance(octets, bytes):
         raise PublishError(f"{attribute} value must be bytes")
-    if attribute in ("ed25519_pub", "x25519_pub"):
-        if len(octets) != EC_KEY_OCTETS:
-            raise PublishError(
-                f"{attribute} must be {EC_KEY_OCTETS} octets, got {len(octets)}"
-            )
-    elif attribute in SIGNATURE_ATTRIBUTES:
-        if len(octets) != SIGNATURE_OCTETS:
-            raise PublishError(
-                f"{attribute} must be {SIGNATURE_OCTETS} octets, got {len(octets)}"
-            )
-    elif attribute == "rsa_pub":
+    if attribute == KeyType.SHARING_RSA.key_attribute:
         try:
             unframe_rsa_public(octets)
-        except Exception as exc:
-            raise PublishError(f"rsa_pub is not a valid framed key: {exc}") from exc
+        except MalformedKeyError as exc:
+            raise PublishError(f"{attribute} is not a valid framed key: {exc}") from exc
+        return
+    if attribute in PUBLIC_KEY_ATTRIBUTES:
+        expected = EC_KEY_OCTETS
+    elif attribute in SIGNATURE_ATTRIBUTES:
+        expected = SIGNATURE_OCTETS
     else:
         raise PublishError(f"unknown attribute {attribute!r}")
+    if len(octets) != expected:
+        raise PublishError(f"{attribute} must be {expected} octets, got {len(octets)}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +135,9 @@ class AttributeStore:
                 loaded[handle] = {}
                 for attribute, value in attributes.items():
                     loaded[handle][attribute] = _decode_attribute(attribute, value)
-        except (KeyError, TypeError, AttributeError, binascii.Error) as exc:
+        except (
+            KeyError, TypeError, AttributeError, binascii.Error, MalformedKeyError
+        ) as exc:
             raise StoreUnavailableError(
                 f"store {self._path} is structurally invalid: {exc}"
             ) from exc
@@ -228,7 +217,7 @@ class AttributeStore:
 
 
 def _encode_attribute(attribute: str, octets: bytes):
-    if attribute == "rsa_pub":
+    if attribute == KeyType.SHARING_RSA.key_attribute:
         modulus, exponent = unframe_rsa_public(octets)
         return {
             "n": base64.b64encode(modulus).decode("ascii"),
@@ -238,7 +227,7 @@ def _encode_attribute(attribute: str, octets: bytes):
 
 
 def _decode_attribute(attribute: str, value) -> bytes:
-    if attribute == "rsa_pub":
+    if attribute == KeyType.SHARING_RSA.key_attribute:
         modulus = base64.b64decode(value["n"], validate=True)
         exponent = base64.b64decode(value["e"], validate=True)
         return frame_rsa_public(modulus, exponent)

@@ -23,43 +23,27 @@ from .errors import (
     SignatureInvalidError,
 )
 from .keys import (
+    SIGNATURE_OCTETS,
+    SUB_KEY_TYPES,
     ChatKeyPair,
     EntropySource,
     Fingerprint,
     IdentityKeyPair,
     KeyType,
     SharingKeyPair,
-    SIGNATURE_OCTETS,
     check_keypair_consistency,
-    fingerprint_ec,
-    fingerprint_rsa,
+    fingerprint_for,
     generate_chat_keypair,
     generate_identity_keypair,
     generate_sharing_keypair,
     sign_public_key,
-    unframe_rsa_public,
     verify_key_signature,
 )
-from .store import (
-    AttributeStore,
-    KEY_ATTRIBUTE_FOR_TYPE,
-    SIGNATURE_ATTRIBUTE_FOR_TYPE,
-)
+from .store import AttributeStore
 
 FINGERPRINT_HEX_CHARS = 40
 GENERATE = "generate"
 PUBLISH = "publish"
-
-# fixed orders so repair reports are deterministic and exactly comparable
-_PUBLIC_PUBLISH_ORDER = (
-    (KeyType.IDENTITY_ED25519, "ed25519_pub"),
-    (KeyType.CHAT_X25519, "x25519_pub"),
-    (KeyType.SHARING_RSA, "rsa_pub"),
-)
-_SIGNATURE_PUBLISH_ORDER = (
-    (KeyType.CHAT_X25519, "sig_x25519"),
-    (KeyType.SHARING_RSA, "sig_rsa"),
-)
 
 
 @dataclass(frozen=True)
@@ -138,24 +122,13 @@ class Session:
         that does not match the pin raises, leaving the ring unchanged.
         Exactly one store round trip.
         """
-        public = self.store.fetch(handle, "ed25519_pub")
+        key_type = KeyType.IDENTITY_ED25519
+        public = self.store.fetch(handle, key_type.key_attribute)
         if public is None:
             raise MissingKeyError(f"{handle!r} has no published identity key")
-        fingerprint = fingerprint_ec(public)
-        ring = self.rings[KeyType.IDENTITY_ED25519]
-        result = ring.compare(handle, fingerprint)
-        if result is CompareResult.MATCH:
-            record = ring.get(handle)
-            return LoadedKey(KeyType.IDENTITY_ED25519, public, record.method, False)
-        if result is CompareResult.ABSENT:
-            record = ring.track(handle, fingerprint, AuthMethod.SEEN)
-            return LoadedKey(KeyType.IDENTITY_ED25519, public, record.method, True)
-        raise FingerprintMismatchError(
-            handle,
-            tracked=ring.get(handle).fingerprint,
-            observed=fingerprint,
-            key_type=KeyType.IDENTITY_ED25519,
-        )
+        fingerprint = fingerprint_for(key_type, public)
+        result = self.rings[key_type].compare(handle, fingerprint)
+        return self._pin_on_first_sight(handle, key_type, public, fingerprint, result)
 
     def load_signed_key(self, handle: str, key_type: KeyType) -> LoadedKey:
         """Fetch a contact's chat or sharing key, verifying its attestation.
@@ -170,13 +143,12 @@ class Session:
         contradicts the pin raises a key-changed warning rather than
         silently replacing the pin.
         """
-        if key_type not in SIGNATURE_ATTRIBUTE_FOR_TYPE:
+        if key_type not in SUB_KEY_TYPES:
             raise ParameterError("load_signed_key handles chat and sharing keys only")
-        key_attribute = KEY_ATTRIBUTE_FOR_TYPE[key_type]
-        public = self.store.fetch(handle, key_attribute)
+        public = self.store.fetch(handle, key_type.key_attribute)
         if public is None:
             raise MissingKeyError(f"{handle!r} has no published {key_type.label} key")
-        fingerprint = _fingerprint_for(key_type, public)
+        fingerprint = fingerprint_for(key_type, public)
         ring = self.rings[key_type]
         result = ring.compare(handle, fingerprint)
         existing = ring.get(handle)
@@ -186,7 +158,7 @@ class Session:
         ):
             return LoadedKey(key_type, public, existing.method, False)
 
-        signature = self.store.fetch(handle, SIGNATURE_ATTRIBUTE_FOR_TYPE[key_type])
+        signature = self.store.fetch(handle, key_type.signature_attribute)
         if signature is not None and len(signature) == SIGNATURE_OCTETS:
             identity = self.load_identity_key(handle)
             if not verify_key_signature(
@@ -206,14 +178,27 @@ class Session:
             )
 
         # no attestation published: fall back to pin-on-first-sight
+        return self._pin_on_first_sight(handle, key_type, public, fingerprint, result)
+
+    def _pin_on_first_sight(
+        self,
+        handle: str,
+        key_type: KeyType,
+        public: bytes,
+        fingerprint: Fingerprint,
+        result: CompareResult,
+    ) -> LoadedKey:
+        """Accept a matching key, pin an unseen one with method SEEN, and
+        raise on a mismatch, leaving the ring unchanged."""
+        ring = self.rings[key_type]
         if result is CompareResult.MATCH:
-            return LoadedKey(key_type, public, existing.method, False)
+            return LoadedKey(key_type, public, ring.get(handle).method, False)
         if result is CompareResult.ABSENT:
             record = ring.track(handle, fingerprint, AuthMethod.SEEN)
             return LoadedKey(key_type, public, record.method, True)
         raise FingerprintMismatchError(
             handle,
-            tracked=existing.fingerprint,
+            tracked=ring.get(handle).fingerprint,
             observed=fingerprint,
             key_type=key_type,
         )
@@ -253,12 +238,6 @@ class Session:
         return ring.track(handle, record.fingerprint, AuthMethod.FINGERPRINT_COMPARISON)
 
 
-def _fingerprint_for(key_type: KeyType, public_octets: bytes) -> Fingerprint:
-    if key_type is KeyType.SHARING_RSA:
-        return fingerprint_rsa(*unframe_rsa_public(public_octets))
-    return fingerprint_ec(public_octets)
-
-
 def init_own_keys(
     store: AttributeStore,
     own_handle: str,
@@ -284,16 +263,15 @@ def init_own_keys(
     report: list[RepairAction] = []
 
     identity = material.identity
-    if identity is None:
-        identity = generate_identity_keypair(rng)
-        report.append(RepairAction(GENERATE, KeyType.IDENTITY_ED25519.label))
-    elif not check_keypair_consistency(identity):
+    if identity is not None and not check_keypair_consistency(identity):
         if not force_identity:
             raise InitError(
                 "identity keypair is inconsistent; regenerating it would orphan "
                 "all published signatures and contacts' pins, pass "
                 "force_identity to do it anyway"
             )
+        identity = None
+    if identity is None:
         identity = generate_identity_keypair(rng)
         report.append(RepairAction(GENERATE, KeyType.IDENTITY_ED25519.label))
 
@@ -307,23 +285,22 @@ def init_own_keys(
         sharing = generate_sharing_keypair(rng)
         report.append(RepairAction(GENERATE, KeyType.SHARING_RSA.label))
 
-    local_public = {
-        "ed25519_pub": identity.public,
-        "x25519_pub": chat.public,
-        "rsa_pub": sharing.public_frame(),
+    # enum order fixes the report order, so reports are exactly comparable
+    public_octets = {
+        KeyType.IDENTITY_ED25519: identity.public,
+        KeyType.CHAT_X25519: chat.public,
+        KeyType.SHARING_RSA: sharing.public_frame(),
     }
-    for key_type, attribute in _PUBLIC_PUBLISH_ORDER:
-        octets = local_public[attribute]
+    for key_type in KeyType:
+        attribute = key_type.key_attribute
+        octets = public_octets[key_type]
         if store.fetch(own_handle, attribute) != octets:
             store.publish(own_handle, attribute, octets)
             report.append(RepairAction(PUBLISH, attribute))
 
-    signed_octets = {
-        KeyType.CHAT_X25519: chat.public,
-        KeyType.SHARING_RSA: sharing.public_frame(),
-    }
-    for key_type, attribute in _SIGNATURE_PUBLISH_ORDER:
-        octets = signed_octets[key_type]
+    for key_type in SUB_KEY_TYPES:
+        attribute = key_type.signature_attribute
+        octets = public_octets[key_type]
         current = store.fetch(own_handle, attribute)
         if current is None or not verify_key_signature(
             identity.public, key_type, octets, current

@@ -328,6 +328,44 @@ class TestFetch:
         assert "error[key-changed-warning]" in err
 
 
+class TestFileErrors:
+    """An unreadable or unwritable file in the identity dir is reported as
+    an init error naming the file, not as a traceback."""
+
+    def test_ring_path_is_a_directory(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        ring = env.home("alice") / "chat-x25519.ring"
+        ring.unlink()
+        ring.mkdir()
+        code, _, err = env.run(
+            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        )
+        assert code == EXIT_ERROR
+        assert err.startswith("error[init]: ") and str(ring) in err
+
+    def test_ring_cannot_be_written(self, env, capsys, tmp_path):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        # a dangling link into a missing directory: absent to read, fails to write
+        ring = env.home("alice") / "chat-x25519.ring"
+        ring.unlink()
+        ring.symlink_to(tmp_path / "missing" / "chat.ring")
+        code, _, err = env.run(
+            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        )
+        assert code == EXIT_ERROR
+        assert err.startswith("error[init]: ") and str(ring) in err
+
+    def test_private_key_cannot_be_written(self, env, capsys, tmp_path):
+        env.home("alice").mkdir()
+        key = env.home("alice") / "identity-ed25519.sk"
+        key.symlink_to(tmp_path / "missing" / "identity.sk")
+        code, _, err = env.run(*env.user_args("alice"), "init", capsys=capsys)
+        assert code == EXIT_ERROR
+        assert err.startswith("error[init]: ") and str(key) in err
+
+
 class TestRing:
     def test_empty_ring_no_lines(self, env, capsys):
         init_user(env, capsys, "alice")

@@ -30,7 +30,6 @@ from keyauth import (
     derive_ed25519_public,
     derive_x25519_public,
     fingerprint_ec,
-    fingerprint_hex,
     fingerprint_rsa,
     frame_rsa_public,
     generate_chat_keypair,
@@ -248,8 +247,8 @@ class TestFingerprints:
             fingerprint_rsa(b"", b"\x11")
 
     def test_hex_rendering(self):
-        assert fingerprint_hex(Fingerprint(bytes(20))) == "0" * 40
-        assert fingerprint_hex(Fingerprint(b"\xff" * 20)) == "f" * 40
+        assert Fingerprint(bytes(20)).hex() == "0" * 40
+        assert Fingerprint(b"\xff" * 20).hex() == "f" * 40
         assert len(fingerprint_ec(secrets.token_bytes(32)).hex()) == 40
 
     def test_hex_round_trip(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import secrets
 
@@ -209,11 +210,19 @@ class TestPersistence:
         with pytest.raises(StoreUnavailableError):
             AttributeStore(path)
 
-    def test_invalid_shapes_in_file_raise(self, tmp_path):
+    def test_invalid_shapes_in_file_raise(self, tmp_path, rsa_pair):
         path = tmp_path / "store.json"
-        path.write_text(json.dumps({"users": {"bob": {"ed25519_pub": "QUJD"}}}))
-        with pytest.raises(StoreUnavailableError):
-            AttributeStore(path)
+        n = base64.b64encode(rsa_pair.modulus_n).decode("ascii")
+        padded_n = base64.b64encode(b"\x00" + rsa_pair.modulus_n).decode("ascii")
+        for attributes in (
+            {"ed25519_pub": "QUJD"},
+            # RSA components with a leading zero octet are not minimal
+            {"rsa_pub": {"n": padded_n, "e": "AQAB"}},
+            {"rsa_pub": {"n": n, "e": "AAEAAQ=="}},
+        ):
+            path.write_text(json.dumps({"users": {"bob": attributes}}))
+            with pytest.raises(StoreUnavailableError):
+                AttributeStore(path)
 
     def test_bad_base64_raises(self, tmp_path):
         path = tmp_path / "store.json"
