@@ -15,7 +15,7 @@ import binascii
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .authring import AuthRing
@@ -108,9 +108,16 @@ def _write_private_file(path: Path, lines: list[bytes]) -> None:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         with os.fdopen(fd, "wb") as handle:
             handle.write(text.encode("ascii"))
-        os.chmod(path, 0o600)  # pre-existing files keep their mode otherwise
     except OSError as exc:
         raise InitError(f"cannot write private key file {path}: {exc}") from exc
+    _restrict_private_file(path)  # pre-existing files keep their mode otherwise
+
+
+def _restrict_private_file(path: Path) -> None:
+    try:
+        os.chmod(path, 0o600)
+    except OSError as exc:
+        raise InitError(f"cannot chmod private key file {path}: {exc}") from exc
 
 
 def _read_private_lines(path: Path, expected: int) -> list[bytes] | None:
@@ -165,16 +172,9 @@ def save_own_material(identity_dir: Path, material: OwnKeyMaterial) -> None:
             _sk_path(identity_dir, KeyType.CHAT_X25519), [material.chat.private]
         )
     if material.sharing is not None:
-        sharing = material.sharing
+        # field order n, e, d, p, q: the order load_own_material reads back
         _write_private_file(
-            _sk_path(identity_dir, KeyType.SHARING_RSA),
-            [
-                sharing.modulus_n,
-                sharing.public_exponent_e,
-                sharing.private_d,
-                sharing.prime_p,
-                sharing.prime_q,
-            ],
+            _sk_path(identity_dir, KeyType.SHARING_RSA), list(astuple(material.sharing))
         )
 
 
@@ -257,7 +257,19 @@ def cmd_init(config: CliConfig, args) -> int:
         rings=rings,
         force_identity=args.force_identity,
     )
-    save_own_material(home, session.own_keys)
+    # write only the pairs init generated: rewriting an unchanged key file
+    # truncates it first, which risks the key for nothing
+    own = session.own_keys
+    save_own_material(
+        home,
+        OwnKeyMaterial(
+            identity=own.identity if own.identity != material.identity else None,
+            chat=own.chat if own.chat != material.chat else None,
+            sharing=own.sharing if own.sharing != material.sharing else None,
+        ),
+    )
+    for key_type in KeyType:
+        _restrict_private_file(_sk_path(home, key_type))
     save_rings(home, session.rings)
 
     if config.output_mode == MACHINE:

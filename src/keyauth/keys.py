@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import math
 import secrets
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from cryptography.hazmat.primitives.asymmetric import rsa
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -36,8 +36,6 @@ RSA_PUBLIC_EXPONENT = 65537
 # Domain-separation prefix for sub-key attestation; the NUL stops any
 # extension of the ASCII context string, the tag octet binds the key type.
 SIGNED_PAYLOAD_PREFIX = b"MEGA_KEYAUTH_SIG"
-
-_RSA_PROBE_BLOCK = b"\x5a" * 190
 
 
 class KeyType(Enum):
@@ -138,9 +136,9 @@ class SharingKeyPair:
     """RSA-2048 pair as big-endian octet strings.
 
     ``modulus_n`` is always exactly 256 octets; the other components use
-    minimal encodings (no leading zero octets). The block operations are
-    raw modular exponentiation, used only as a consistency probe here;
-    content encryption would need padding on top.
+    minimal encodings (no leading zero octets). Construction checks only
+    shapes; :func:`check_keypair_consistency` checks that the components
+    form a valid key.
     """
 
     modulus_n: bytes
@@ -170,30 +168,6 @@ class SharingKeyPair:
 
     def public_frame(self) -> bytes:
         return frame_rsa_public(self.modulus_n, self.public_exponent_e)
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        n = int.from_bytes(self.modulus_n, "big")
-        m = int.from_bytes(block, "big")
-        if m >= n:
-            raise ParameterError("block does not fit below the modulus")
-        e = int.from_bytes(self.public_exponent_e, "big")
-        return pow(m, e, n).to_bytes(RSA_MODULUS_OCTETS, "big")
-
-    def decrypt_block(self, cipher: bytes, out_len: int | None = None) -> bytes:
-        n = int.from_bytes(self.modulus_n, "big")
-        c = int.from_bytes(cipher, "big")
-        if c >= n:
-            raise ParameterError("ciphertext is not below the modulus")
-        d = int.from_bytes(self.private_d, "big")
-        m = pow(c, d, n)
-        if out_len is None:
-            out_len = max(1, (m.bit_length() + 7) // 8)
-        try:
-            return m.to_bytes(out_len, "big")
-        except OverflowError:
-            raise ParameterError(
-                f"plaintext does not fit in {out_len} octets"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -317,9 +291,14 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve_primes(1000)
+_MILLER_RABIN_ROUNDS = 30
 
 
-def _is_probable_prime(candidate: int, rng: EntropySource, rounds: int = 30) -> bool:
+def _is_probable_prime(candidate: int, witnesses: Iterable[int]) -> bool:
+    """Trial division by the small primes, then one strong-probable-prime
+    round per witness. Witnesses are consumed lazily, so a generator that
+    draws them from an entropy source draws none after a failed round.
+    ``candidate`` must be at least 2."""
     for small in _SMALL_PRIMES:
         if candidate % small == 0:
             return candidate == small
@@ -328,8 +307,7 @@ def _is_probable_prime(candidate: int, rng: EntropySource, rounds: int = 30) -> 
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
-        witness = 2 + int.from_bytes(_draw_entropy(rng, 128), "big") % (candidate - 3)
+    for witness in witnesses:
         x = pow(witness, d, candidate)
         if x in (1, candidate - 1):
             continue
@@ -350,7 +328,11 @@ def _random_prime(bits: int, rng: EntropySource, coprime_to: int) -> int:
         candidate &= (1 << bits) - 1
         if math.gcd(coprime_to, candidate - 1) != 1:
             continue
-        if _is_probable_prime(candidate, rng):
+        witnesses = (
+            2 + int.from_bytes(_draw_entropy(rng, 128), "big") % (candidate - 3)
+            for _ in range(_MILLER_RABIN_ROUNDS)
+        )
+        if _is_probable_prime(candidate, witnesses):
             return candidate
 
 
@@ -479,9 +461,12 @@ def check_keypair_consistency(
 ) -> bool:
     """True iff the public half matches the private half.
 
-    For EC pairs the public key is re-derived; for RSA the modulus is
-    checked against p*q and a fixed block must survive an encrypt-decrypt
-    round trip. Inconsistency is reported, never raised.
+    For EC pairs the public key is re-derived. For RSA the RFC 8017 §3.2
+    relations are checked: ``n == p*q`` with distinct factors above 1,
+    ``e*d == 1 (mod lcm(p-1, q-1))``, and p and q prime. That relation
+    makes every block round-trip only when p and q are prime, so each
+    must pass trial division and a strong-probable-prime test to base 2.
+    Inconsistency is reported, never raised.
     """
     try:
         if isinstance(pair, IdentityKeyPair):
@@ -489,13 +474,13 @@ def check_keypair_consistency(
         if isinstance(pair, ChatKeyPair):
             return derive_x25519_public(pair.private) == pair.public
         if isinstance(pair, SharingKeyPair):
-            n = int.from_bytes(pair.modulus_n, "big")
-            p = int.from_bytes(pair.prime_p, "big")
-            q = int.from_bytes(pair.prime_q, "big")
-            if n != p * q:
+            n, e, d, p, q = (int.from_bytes(octets, "big") for octets in astuple(pair))
+            # the factor guards come first: the primality test needs p, q >= 2
+            if not (1 < p and 1 < q and p != q and n == p * q):
                 return False
-            probe = pair.encrypt_block(_RSA_PROBE_BLOCK)
-            return pair.decrypt_block(probe, len(_RSA_PROBE_BLOCK)) == _RSA_PROBE_BLOCK
+            if e * d % math.lcm(p - 1, q - 1) != 1:
+                return False
+            return _is_probable_prime(p, (2,)) and _is_probable_prime(q, (2,))
     except Exception:
         return False
     raise ParameterError(f"not a keypair type: {type(pair).__name__}")

