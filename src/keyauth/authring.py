@@ -46,13 +46,6 @@ class AuthMethod(IntEnum):
     def label(self) -> str:
         return _METHOD_LABELS[self]
 
-    @classmethod
-    def from_label(cls, label: str) -> "AuthMethod":
-        for method, known in _METHOD_LABELS.items():
-            if label == known:
-                return method
-        raise ParameterError(f"unknown authentication method label {label!r}")
-
 
 _METHOD_LABELS = {
     AuthMethod.SEEN: "seen",

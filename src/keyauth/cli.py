@@ -15,7 +15,9 @@ import binascii
 import os
 import random
 import sys
-from dataclasses import astuple, dataclass
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import astuple
 from pathlib import Path
 
 from .authring import AuthRing
@@ -57,22 +59,9 @@ _EXIT_BY_ERROR = (
     (MissingKeyError, EXIT_MISSING_KEY),
 )
 
-HUMAN = "human"
-MACHINE = "machine"
-
 _KEY_TYPE_ALIASES = {
     name: key_type for key_type in KeyType for name in (key_type.alias, key_type.label)
 }
-
-
-@dataclass
-class CliConfig:
-    """Validated global options."""
-
-    store_path: Path | None
-    identity_dir: Path | None
-    user_handle: str | None
-    output_mode: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,135 +77,121 @@ def group_fingerprint_hex(hex40: str) -> str:
     return " ".join(hex40[i : i + 5] for i in range(0, len(hex40), 5))
 
 
-# -- identity directory layout -----------------------------------------------
+# -- identity directory -------------------------------------------------------
 #
-# <identity_dir>/<key type label>.sk    private key, base64 lines, mode 0600
+# <identity_dir>/<key type label>.sk    private key, one base64 line per field
 # <identity_dir>/<key type label>.ring  serialised authentication ring
+#
+# Every file is read by _read and written by _write, so every file is mode
+# 0600 and is rewritten only when its bytes change.
+
+# private key file layout: the file holds the first ``count`` fields of
+# astuple(pair), and ``build`` turns those lines back into the pair
+_PRIVATE_LAYOUT = {
+    KeyType.IDENTITY_ED25519: (
+        1, lambda seed: IdentityKeyPair(seed, derive_ed25519_public(seed))
+    ),
+    KeyType.CHAT_X25519: (
+        1, lambda scalar: ChatKeyPair(scalar, derive_x25519_public(scalar))
+    ),
+    KeyType.SHARING_RSA: (5, SharingKeyPair),
+}
 
 
-def _sk_path(identity_dir: Path, key_type: KeyType) -> Path:
-    return identity_dir / f"{key_type.label}.sk"
-
-
-def _ring_path(identity_dir: Path, key_type: KeyType) -> Path:
-    return identity_dir / f"{key_type.label}.ring"
-
-
-def _write_private_file(path: Path, lines: list[bytes]) -> None:
-    text = "".join(base64.b64encode(line).decode("ascii") + "\n" for line in lines)
+def _read(path: Path) -> bytes | None:
+    """The file's bytes, or None when it is absent."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(text.encode("ascii"))
-    except OSError as exc:
-        raise InitError(f"cannot write private key file {path}: {exc}") from exc
-    _restrict_private_file(path)  # pre-existing files keep their mode otherwise
-
-
-def _restrict_private_file(path: Path) -> None:
-    try:
-        os.chmod(path, 0o600)
-    except OSError as exc:
-        raise InitError(f"cannot chmod private key file {path}: {exc}") from exc
-
-
-def _read_private_lines(path: Path, expected: int) -> list[bytes] | None:
-    if not path.exists():
+        return path.read_bytes()
+    except FileNotFoundError:
         return None
+    except OSError as exc:
+        raise InitError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: Path, data: bytes) -> None:
+    """Make the file hold ``data`` at mode 0600, writing only if it differs.
+
+    Skipping an unchanged file matters: the write truncates first, which
+    risks the file's contents for nothing."""
     try:
-        raw = path.read_text(encoding="ascii").split()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InitError(f"cannot read private key file {path}: {exc}") from exc
-    if len(raw) != expected:
-        raise InitError(
-            f"private key file {path} has {len(raw)} lines, expected {expected}"
-        )
-    try:
-        return [base64.b64decode(line, validate=True) for line in raw]
-    except binascii.Error as exc:
-        raise InitError(f"private key file {path} is not valid base64: {exc}") from exc
+        if _read(path) != data:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+        os.chmod(path, 0o600)  # a pre-existing file keeps its mode otherwise
+    except OSError as exc:
+        raise InitError(f"cannot write {path}: {exc}") from exc
 
 
 def load_own_material(identity_dir: Path) -> OwnKeyMaterial:
     """Read whatever private keys exist; malformed files raise InitError."""
-    material = OwnKeyMaterial()
-    try:
-        lines = _read_private_lines(_sk_path(identity_dir, KeyType.IDENTITY_ED25519), 1)
-        if lines is not None:
-            seed = lines[0]
-            material.identity = IdentityKeyPair(
-                private=seed, public=derive_ed25519_public(seed)
+    pairs = {}
+    for key_type, (count, build) in _PRIVATE_LAYOUT.items():
+        path = identity_dir / f"{key_type.label}.sk"
+        data = _read(path)
+        if data is None:
+            continue
+        raw = data.split()
+        if len(raw) != count:
+            raise InitError(
+                f"private key file {path} has {len(raw)} lines, expected {count}"
             )
-        lines = _read_private_lines(_sk_path(identity_dir, KeyType.CHAT_X25519), 1)
-        if lines is not None:
-            scalar = lines[0]
-            material.chat = ChatKeyPair(private=scalar, public=derive_x25519_public(scalar))
-        lines = _read_private_lines(_sk_path(identity_dir, KeyType.SHARING_RSA), 5)
-        if lines is not None:
-            n, e, d, p, q = lines
-            material.sharing = SharingKeyPair(n, e, d, p, q)
-    except KeyAuthError as exc:
-        if isinstance(exc, InitError):
-            raise
-        raise InitError(f"private key material unreadable: {exc}") from exc
-    return material
+        try:
+            pairs[key_type.alias] = build(
+                *(base64.b64decode(line, validate=True) for line in raw)
+            )
+        except binascii.Error as exc:
+            raise InitError(
+                f"private key file {path} is not valid base64: {exc}"
+            ) from exc
+        except KeyAuthError as exc:
+            raise InitError(f"private key material unreadable: {exc}") from exc
+    return OwnKeyMaterial(**pairs)
 
 
 def save_own_material(identity_dir: Path, material: OwnKeyMaterial) -> None:
-    if material.identity is not None:
-        _write_private_file(
-            _sk_path(identity_dir, KeyType.IDENTITY_ED25519), [material.identity.private]
-        )
-    if material.chat is not None:
-        _write_private_file(
-            _sk_path(identity_dir, KeyType.CHAT_X25519), [material.chat.private]
-        )
-    if material.sharing is not None:
-        # field order n, e, d, p, q: the order load_own_material reads back
-        _write_private_file(
-            _sk_path(identity_dir, KeyType.SHARING_RSA), list(astuple(material.sharing))
-        )
+    for key_type, (count, _) in _PRIVATE_LAYOUT.items():
+        pair = getattr(material, key_type.alias)
+        if pair is not None:
+            lines = astuple(pair)[:count]
+            _write(
+                identity_dir / f"{key_type.label}.sk",
+                b"".join(base64.b64encode(line) + b"\n" for line in lines),
+            )
 
 
 def load_rings(identity_dir: Path) -> dict[KeyType, AuthRing]:
     """Read ring files; a missing file is an empty ring, corruption raises."""
     rings: dict[KeyType, AuthRing] = {}
     for key_type in KeyType:
-        path = _ring_path(identity_dir, key_type)
-        if path.exists():
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                raise InitError(f"cannot read ring file {path}: {exc}") from exc
-            rings[key_type] = AuthRing.from_bytes(data)
-            if rings[key_type].key_type is not key_type:
-                raise InitError(
-                    f"ring file {path} holds a {rings[key_type].key_type.label} ring"
-                )
-        else:
+        path = identity_dir / f"{key_type.label}.ring"
+        data = _read(path)
+        if data is None:
             rings[key_type] = AuthRing(key_type)
+            continue
+        rings[key_type] = AuthRing.from_bytes(data)
+        if rings[key_type].key_type is not key_type:
+            raise InitError(
+                f"ring file {path} holds a {rings[key_type].key_type.label} ring"
+            )
     return rings
 
 
 def save_rings(identity_dir: Path, rings: dict[KeyType, AuthRing]) -> None:
     for key_type, ring in rings.items():
-        path = _ring_path(identity_dir, key_type)
-        try:
-            path.write_bytes(ring.to_bytes())
-        except OSError as exc:
-            raise InitError(f"cannot write ring file {path}: {exc}") from exc
+        _write(identity_dir / f"{key_type.label}.ring", ring.to_bytes())
 
 
 # -- command helpers ----------------------------------------------------------
 
 
-def _require(config: CliConfig, *, store=False, home=False, user=False) -> None:
+def _require(args, *, store=False, home=False, user=False) -> None:
     missing = []
-    if store and config.store_path is None:
+    if store and args.store is None:
         missing.append("--store")
-    if home and config.identity_dir is None:
+    if home and args.home is None:
         missing.append("--home")
-    if user and config.user_handle is None:
+    if user and args.user is None:
         missing.append("--user")
     if missing:
         raise _UsageError(f"missing required option(s): {', '.join(missing)}")
@@ -226,18 +201,24 @@ class _UsageError(Exception):
     pass
 
 
-def _open_session(config: CliConfig) -> Session:
-    rings = load_rings(config.identity_dir)
-    store = AttributeStore(config.store_path)
-    return Session(store, config.user_handle, rings=rings)
+@contextmanager
+def _session(args) -> Iterator[Session]:
+    """A session over the identity dir's rings. The rings are saved on exit
+    even when a load raised: an alarm can follow a new identity pin."""
+    rings = load_rings(args.home)
+    session = Session(AttributeStore(args.store), args.user, rings=rings)
+    try:
+        yield session
+    finally:
+        save_rings(args.home, session.rings)
 
 
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_init(config: CliConfig, args) -> int:
-    _require(config, store=True, home=True, user=True)
-    home = config.identity_dir
+def cmd_init(args) -> int:
+    _require(args, store=True, home=True, user=True)
+    home = args.home
     try:
         home.mkdir(parents=True, exist_ok=True, mode=0o700)
     except OSError as exc:
@@ -249,30 +230,12 @@ def cmd_init(config: CliConfig, args) -> int:
 
     material = load_own_material(home)
     rings = load_rings(home)
-    store = AttributeStore(config.store_path)
-    session, report = init_own_keys(
-        store,
-        config.user_handle,
-        existing=material,
-        rings=rings,
-        force_identity=args.force_identity,
-    )
-    # write only the pairs init generated: rewriting an unchanged key file
-    # truncates it first, which risks the key for nothing
-    own = session.own_keys
-    save_own_material(
-        home,
-        OwnKeyMaterial(
-            identity=own.identity if own.identity != material.identity else None,
-            chat=own.chat if own.chat != material.chat else None,
-            sharing=own.sharing if own.sharing != material.sharing else None,
-        ),
-    )
-    for key_type in KeyType:
-        _restrict_private_file(_sk_path(home, key_type))
+    store = AttributeStore(args.store)
+    session, report = init_own_keys(store, args.user, existing=material, rings=rings)
+    save_own_material(home, session.own_keys)
     save_rings(home, session.rings)
 
-    if config.output_mode == MACHINE:
+    if args.machine:
         for action in report:
             print(f"{action.action}\t{action.target}")
     elif report:
@@ -283,47 +246,42 @@ def cmd_init(config: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_credentials(config: CliConfig, args) -> int:
-    _require(config, home=True, user=True)
+def cmd_credentials(args) -> int:
+    _require(args, home=True, user=True)
     handle = args.handle
-    if handle is None or handle == config.user_handle:
-        material = load_own_material(config.identity_dir)
+    if handle is None or handle == args.user:
+        material = load_own_material(args.home)
         if material.identity is None:
             raise MissingKeyError(
                 "own identity key not initialised; run init first"
             )
         fingerprint = fingerprint_ec(material.identity.public)
     else:
-        _require(config, store=True)
-        session = _open_session(config)
-        try:
+        _require(args, store=True)
+        with _session(args) as session:
             loaded = session.load_identity_key(handle)
-        finally:
-            save_rings(config.identity_dir, session.rings)
         fingerprint = fingerprint_ec(loaded.public_octets)
-    if config.output_mode == MACHINE:
+    if args.machine:
         print(fingerprint.hex())
     else:
         print(group_fingerprint_hex(fingerprint.hex()))
     return EXIT_OK
 
 
-def cmd_verify(config: CliConfig, args) -> int:
-    _require(config, store=True, home=True, user=True)
+def cmd_verify(args) -> int:
+    _require(args, store=True, home=True, user=True)
     asserted = " ".join(args.fingerprint)
-    session = _open_session(config)
-    try:
-        record = session.verify_contact_fingerprint(args.handle, asserted)
-    except ComparisonFailedError as exc:
-        print(
-            f"error[{exc.code}]: {exc}\n"
-            f"DO NOT TRUST {args.handle!r} until the fingerprints match",
-            file=sys.stderr,
-        )
-        return EXIT_FINGERPRINT_MISMATCH
-    finally:
-        save_rings(config.identity_dir, session.rings)
-    if config.output_mode == MACHINE:
+    with _session(args) as session:
+        try:
+            record = session.verify_contact_fingerprint(args.handle, asserted)
+        except ComparisonFailedError as exc:
+            print(
+                f"error[{exc.code}]: {exc}\n"
+                f"DO NOT TRUST {args.handle!r} until the fingerprints match",
+                file=sys.stderr,
+            )
+            return EXIT_FINGERPRINT_MISMATCH
+    if args.machine:
         print(f"verified\t{args.handle}\t{record.fingerprint.hex()}")
     else:
         print(
@@ -333,25 +291,22 @@ def cmd_verify(config: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_fetch(config: CliConfig, args) -> int:
-    _require(config, store=True, home=True, user=True)
+def cmd_fetch(args) -> int:
+    _require(args, store=True, home=True, user=True)
     key_type = _KEY_TYPE_ALIASES[args.key_type]
-    session = _open_session(config)
-    before = session.store.stats().total
-    try:
+    with _session(args) as session:
+        before = session.store.stats().total
         if key_type is KeyType.IDENTITY_ED25519:
             loaded = session.load_identity_key(args.handle)
         else:
             loaded = session.load_signed_key(args.handle, key_type)
-    finally:
-        save_rings(config.identity_dir, session.rings)
     fields = [
         ("key type", key_type.label),
         ("public key", base64.b64encode(loaded.public_octets).decode("ascii")),
         ("method", loaded.method.label),
         ("fetches", str(session.store.stats().total - before)),
     ]
-    if config.output_mode == MACHINE:
+    if args.machine:
         print("\t".join(value for _, value in fields))
     else:
         for name, value in fields:
@@ -359,15 +314,15 @@ def cmd_fetch(config: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_ring(config: CliConfig, args) -> int:
-    _require(config, home=True)
+def cmd_ring(args) -> int:
+    _require(args, home=True)
     if args.all:
         key_types = list(KeyType)
     else:
         if args.key_type is None:
             raise _UsageError("give a key type or --all")
         key_types = [_KEY_TYPE_ALIASES[args.key_type]]
-    rings = load_rings(config.identity_dir)
+    rings = load_rings(args.home)
     for key_type in key_types:
         ring = rings[key_type]
         for handle, record in ring.records():
@@ -378,14 +333,14 @@ def cmd_ring(config: CliConfig, args) -> int:
                 record.method.label,
                 str(record.trust),
             )
-            if config.output_mode == MACHINE:
+            if args.machine:
                 print("\t".join(columns))
             else:
                 print(" ".join(columns))
     return EXIT_OK
 
 
-def cmd_simulate(config: CliConfig, args) -> int:
+def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise _UsageError("--reps must be at least 1")
     rng = random.Random(args.seed)
@@ -395,7 +350,7 @@ def cmd_simulate(config: CliConfig, args) -> int:
         report = run_scenario(args.scenario, rng, rsa_pool)
         status = "ok" if report.ok else "UNEXPECTED"
         expected = "|".join(report.expected)
-        if config.output_mode == MACHINE:
+        if args.machine:
             print(
                 f"{report.name}\t{rep}\t{args.reps}\t{expected}\t"
                 f"{report.observed}\t{status}"
@@ -411,7 +366,7 @@ def cmd_simulate(config: CliConfig, args) -> int:
         if not report.ok:
             failures += 1
     passed = args.reps - failures
-    if config.output_mode == MACHINE:
+    if args.machine:
         print(f"result\t{report.name}\t{passed}\t{args.reps}")
     else:
         print(f"result: {passed}/{args.reps} repetitions matched the expected outcome")
@@ -443,12 +398,6 @@ def build_parser() -> _Parser:
 
     p_init = commands.add_parser(
         "init", help="generate missing keys and publish/repair the store"
-    )
-    p_init.add_argument(
-        "--force-identity",
-        action="store_true",
-        help="allow regenerating an inconsistent identity key (invalidates "
-        "published signatures and contacts' pins)",
     )
     p_init.set_defaults(func=cmd_init)
 
@@ -500,14 +449,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = CliConfig(
-        store_path=Path(args.store) if args.store else None,
-        identity_dir=Path(args.home) if args.home else None,
-        user_handle=args.user,
-        output_mode=MACHINE if args.machine else HUMAN,
-    )
+    # not argparse type=Path: that turns an empty value into "."
+    args.store = Path(args.store) if args.store else None
+    args.home = Path(args.home) if args.home else None
     try:
-        return args.func(config, args)
+        return args.func(args)
     except _UsageError as exc:
         print(f"keyauth: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

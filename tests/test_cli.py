@@ -6,6 +6,7 @@ asserted directly.
 
 from __future__ import annotations
 
+import base64
 import os
 import stat
 
@@ -14,6 +15,7 @@ import pytest
 from keyauth import (
     AttributeStore,
     KeyType,
+    OwnKeyMaterial,
     generate_chat_keypair,
     generate_identity_keypair,
     sign_public_key,
@@ -29,7 +31,10 @@ from keyauth.cli import (
     group_fingerprint_hex,
     load_own_material,
     main,
+    save_own_material,
 )
+
+from conftest import make_entropy
 
 
 @pytest.fixture
@@ -149,6 +154,134 @@ class TestInit:
         code, _, err = env.run(*env.user_args("alice"), "init", capsys=capsys)
         assert code == EXIT_ERROR
         assert "error[init]" in err
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 3: init publishes to the store before it writes "
+        "the private key files",
+    )
+    def test_failed_key_write_publishes_nothing(self, env, capsys, tmp_path):
+        env.home("alice").mkdir()
+        key = env.home("alice") / "identity-ed25519.sk"
+        key.symlink_to(tmp_path / "missing" / "identity.sk")
+        code, _, _ = env.run(*env.user_args("alice"), "init", capsys=capsys)
+        assert code == EXIT_ERROR
+        assert not [path for path in env.home("alice").glob("*.sk") if path.exists()]
+        # a published identity with no private key behind it is an orphan:
+        # the next init publishes another, and every pin of it alarms
+        assert not env.store_path.exists()
+
+
+class TestKeyFiles:
+    def test_layout_is_golden(self, tmp_path, rsa_pair):
+        """One base64 line per field: the seed, the clamped scalar, and the
+        RSA n, e, d, p, q in that order."""
+        identity = generate_identity_keypair(make_entropy(b"identity"))
+        chat = generate_chat_keypair(make_entropy(b"chat"))
+        material = OwnKeyMaterial(identity=identity, chat=chat, sharing=rsa_pair)
+        save_own_material(tmp_path, material)
+
+        def render(*fields):
+            return b"".join(base64.b64encode(field) + b"\n" for field in fields)
+
+        expected = {
+            "identity-ed25519.sk": render(identity.private),
+            "chat-x25519.sk": render(chat.private),
+            "sharing-rsa.sk": render(
+                rsa_pair.modulus_n,
+                rsa_pair.public_exponent_e,
+                rsa_pair.private_d,
+                rsa_pair.prime_p,
+                rsa_pair.prime_q,
+            ),
+        }
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+        for name, data in expected.items():
+            assert (tmp_path / name).read_bytes() == data, name
+        assert load_own_material(tmp_path) == material
+
+
+class TestWritePolicy:
+    """Every identity-dir file is mode 0600 and is rewritten only when its
+    bytes change."""
+
+    @staticmethod
+    def stamped_rings(env, user):
+        rings = sorted(env.home(user).glob("*.ring"))
+        assert len(rings) == 3
+        for ring in rings:
+            os.utime(ring, ns=(10**18, 10**18))  # any rewrite moves mtime off this
+        return [(ring, os.stat(ring), ring.read_bytes()) for ring in rings]
+
+    @staticmethod
+    def assert_untouched(before):
+        for ring, old, data in before:
+            new = os.stat(ring)
+            assert (new.st_ino, new.st_mtime_ns) == (old.st_ino, old.st_mtime_ns), ring
+            assert ring.read_bytes() == data, ring
+
+    @staticmethod
+    def assert_all_0600(home):
+        files = list(home.iterdir())
+        assert files
+        for path in files:
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o600, path
+
+    def test_warm_fetch_and_noop_init_rewrite_no_ring(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        env.run(*env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys)
+        before = self.stamped_rings(env, "alice")
+        code, _, _ = env.run(
+            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        )
+        assert code == EXIT_OK
+        self.assert_untouched(before)
+        assert init_user(env, capsys, "alice").strip() == "nothing to repair"
+        self.assert_untouched(before)
+
+    def test_pinning_fetch_rewrites_its_ring(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        stamped = self.stamped_rings(env, "alice")
+        before = {ring.name: data for ring, _, data in stamped}
+        code, _, _ = env.run(
+            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        )
+        assert code == EXIT_OK
+        ring = env.home("alice") / "chat-x25519.ring"
+        assert ring.read_bytes() != before[ring.name]
+        assert os.stat(ring).st_mtime_ns != 10**18
+        # the sharing ring gained nothing, so it was left alone
+        sharing = env.home("alice") / "sharing-rsa.ring"
+        assert os.stat(sharing).st_mtime_ns == 10**18
+
+    def test_every_file_is_0600(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        self.assert_all_0600(env.home("alice"))
+        code, _, _ = env.run(
+            *env.user_args("alice"), "fetch", "bob", "sharing", capsys=capsys
+        )
+        assert code == EXIT_OK
+        self.assert_all_0600(env.home("alice"))
+
+    def test_alarm_after_first_pin_keeps_the_pin(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        store = AttributeStore(env.store_path)
+        store.publish("bob", "x25519_pub", generate_chat_keypair().public)
+        code, _, _ = env.run(
+            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        )
+        assert code == EXIT_SIGNATURE_INVALID
+        code, out, _ = env.run(
+            "--home", env.home("alice"), "--machine", "ring", "identity", capsys=capsys
+        )
+        assert code == EXIT_OK
+        row = out.strip().split("\t")
+        assert row[1] == "bob" and row[3] == "seen"
 
 
 class TestCredentials:
@@ -497,6 +630,13 @@ class TestParsing:
     def test_no_command_is_usage_error(self, env, capsys):
         code, _, _ = env.run(capsys=capsys)
         assert code == EXIT_USAGE
+
+    def test_empty_paths_are_missing(self, env, capsys):
+        code, _, err = env.run(
+            "--store", "", "--home", "", "--user", "alice", "init", capsys=capsys
+        )
+        assert code == EXIT_USAGE
+        assert "--store" in err and "--home" in err
 
     def test_unknown_key_type_is_usage_error(self, env, capsys):
         init_user(env, capsys, "alice")
