@@ -44,14 +44,7 @@ class AuthMethod(IntEnum):
 
     @property
     def label(self) -> str:
-        return _METHOD_LABELS[self]
-
-
-_METHOD_LABELS = {
-    AuthMethod.SEEN: "seen",
-    AuthMethod.SIGNATURE_VERIFIED: "signature-verified",
-    AuthMethod.FINGERPRINT_COMPARISON: "fingerprint-comparison",
-}
+        return self.name.lower().replace("_", "-")
 
 
 def method_legal_for(key_type: KeyType, method: AuthMethod) -> bool:

@@ -39,7 +39,7 @@ from .keys import (
     derive_x25519_public,
     fingerprint_ec,
 )
-from .scenarios import SCENARIO_NAMES, build_rsa_pool, run_scenario
+from .scenarios import SCENARIO_NAMES, run_scenario_batch
 from .store import AttributeStore
 from .workflow import OwnKeyMaterial, Session, init_own_keys
 
@@ -140,12 +140,8 @@ def load_own_material(identity_dir: Path) -> OwnKeyMaterial:
             pairs[key_type.alias] = build(
                 *(base64.b64decode(line, validate=True) for line in raw)
             )
-        except binascii.Error as exc:
-            raise InitError(
-                f"private key file {path} is not valid base64: {exc}"
-            ) from exc
-        except KeyAuthError as exc:
-            raise InitError(f"private key material unreadable: {exc}") from exc
+        except (binascii.Error, KeyAuthError) as exc:
+            raise InitError(f"private key file {path} is unreadable: {exc}") from exc
     return OwnKeyMaterial(**pairs)
 
 
@@ -185,14 +181,8 @@ def save_rings(identity_dir: Path, rings: dict[KeyType, AuthRing]) -> None:
 # -- command helpers ----------------------------------------------------------
 
 
-def _require(args, *, store=False, home=False, user=False) -> None:
-    missing = []
-    if store and args.store is None:
-        missing.append("--store")
-    if home and args.home is None:
-        missing.append("--home")
-    if user and args.user is None:
-        missing.append("--user")
+def _require(args, *options: str) -> None:
+    missing = [f"--{option}" for option in options if getattr(args, option) is None]
     if missing:
         raise _UsageError(f"missing required option(s): {', '.join(missing)}")
 
@@ -217,7 +207,7 @@ def _session(args) -> Iterator[Session]:
 
 
 def cmd_init(args) -> int:
-    _require(args, store=True, home=True, user=True)
+    _require(args, "store", "home", "user")
     home = args.home
     try:
         home.mkdir(parents=True, exist_ok=True, mode=0o700)
@@ -231,9 +221,9 @@ def cmd_init(args) -> int:
     material = load_own_material(home)
     rings = load_rings(home)
     store = AttributeStore(args.store)
-    session, report = init_own_keys(store, args.user, existing=material, rings=rings)
+    session, report = init_own_keys(store, args.user, existing=material)
     save_own_material(home, session.own_keys)
-    save_rings(home, session.rings)
+    save_rings(home, rings)
 
     if args.machine:
         for action in report:
@@ -247,7 +237,7 @@ def cmd_init(args) -> int:
 
 
 def cmd_credentials(args) -> int:
-    _require(args, home=True, user=True)
+    _require(args, "home", "user")
     handle = args.handle
     if handle is None or handle == args.user:
         material = load_own_material(args.home)
@@ -257,7 +247,7 @@ def cmd_credentials(args) -> int:
             )
         fingerprint = fingerprint_ec(material.identity.public)
     else:
-        _require(args, store=True)
+        _require(args, "store")
         with _session(args) as session:
             loaded = session.load_identity_key(handle)
         fingerprint = fingerprint_ec(loaded.public_octets)
@@ -269,7 +259,7 @@ def cmd_credentials(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require(args, store=True, home=True, user=True)
+    _require(args, "store", "home", "user")
     asserted = " ".join(args.fingerprint)
     with _session(args) as session:
         try:
@@ -292,10 +282,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    _require(args, store=True, home=True, user=True)
+    _require(args, "store", "home", "user")
     key_type = _KEY_TYPE_ALIASES[args.key_type]
     with _session(args) as session:
-        before = session.store.stats().total
         if key_type is KeyType.IDENTITY_ED25519:
             loaded = session.load_identity_key(args.handle)
         else:
@@ -304,7 +293,7 @@ def cmd_fetch(args) -> int:
         ("key type", key_type.label),
         ("public key", base64.b64encode(loaded.public_octets).decode("ascii")),
         ("method", loaded.method.label),
-        ("fetches", str(session.store.stats().total - before)),
+        ("fetches", str(session.store.stats().total)),
     ]
     if args.machine:
         print("\t".join(value for _, value in fields))
@@ -315,7 +304,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    _require(args, home=True)
+    _require(args, "home")
     if args.all:
         key_types = list(KeyType)
     else:
@@ -343,11 +332,8 @@ def cmd_ring(args) -> int:
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise _UsageError("--reps must be at least 1")
-    rng = random.Random(args.seed)
-    rsa_pool = build_rsa_pool() if args.reps > 1 else None
-    failures = 0
-    for rep in range(1, args.reps + 1):
-        report = run_scenario(args.scenario, rng, rsa_pool)
+    reports = run_scenario_batch(args.scenario, args.reps, random.Random(args.seed))
+    for rep, report in enumerate(reports, 1):
         status = "ok" if report.ok else "UNEXPECTED"
         expected = "|".join(report.expected)
         if args.machine:
@@ -363,14 +349,12 @@ def cmd_simulate(args) -> int:
             if rep == 1 or not report.ok:
                 for note in report.notes:
                     print(f"  {note}")
-        if not report.ok:
-            failures += 1
-    passed = args.reps - failures
+    passed = sum(report.ok for report in reports)
     if args.machine:
-        print(f"result\t{report.name}\t{passed}\t{args.reps}")
+        print(f"result\t{args.scenario}\t{passed}\t{args.reps}")
     else:
         print(f"result: {passed}/{args.reps} repetitions matched the expected outcome")
-    return EXIT_OK if failures == 0 else EXIT_ERROR
+    return EXIT_OK if passed == args.reps else EXIT_ERROR
 
 
 # -- entry point --------------------------------------------------------------

@@ -39,10 +39,12 @@ from .store import (
 )
 from .workflow import OwnKeyMaterial, Session, init_own_keys
 
+# an alarm's outcome is its error code
+_ALARMS = (FingerprintMismatchError, SignatureInvalidError, KeyChangedWarningError)
 OUTCOME_NO_ALARM = "no-alarm"
-OUTCOME_FINGERPRINT_MISMATCH = "fingerprint-mismatch"
-OUTCOME_SIGNATURE_INVALID = "signature-invalid"
-OUTCOME_KEY_CHANGED = "key-changed-warning"
+OUTCOME_FINGERPRINT_MISMATCH = FingerprintMismatchError.code
+OUTCOME_SIGNATURE_INVALID = SignatureInvalidError.code
+OUTCOME_KEY_CHANGED = KeyChangedWarningError.code
 
 
 class _Scenario(NamedTuple):
@@ -106,52 +108,12 @@ class ScenarioReport:
             self.checks_ok = False
 
 
-class ScenarioWorld:
-    """One scenario's universe: an in-memory store, its randomness, and
-    the RSA pool.
-
-    RSA generation dominates setup cost, so batch runs may hand in a pool
-    of pregenerated sharing pairs; victims and attackers then draw distinct
-    pool members. Everything else (handles, EC keys, choices) is fresh and
-    driven by ``rng`` on every run.
-    """
-
-    def __init__(
-        self,
-        rng: random.Random,
-        rsa_pool: Sequence[SharingKeyPair] | None = None,
-    ):
-        self.rng = rng
-        self.store = AttributeStore()
-        self._rsa_pool = list(rsa_pool) if rsa_pool else []
-
-    def sharing_pair(self) -> SharingKeyPair:
-        """A pool member not drawn before, or a fresh pair once none is left."""
-        if not self._rsa_pool:
-            return generate_sharing_keypair()
-        return self._rsa_pool.pop(self.rng.randrange(len(self._rsa_pool)))
-
-    def handle(self, prefix: str) -> str:
-        return f"{prefix}-{self.rng.randrange(16**6):06x}"
-
-    def attacker_key_octets(self, key_type: KeyType) -> bytes:
-        if key_type is KeyType.IDENTITY_ED25519:
-            return generate_identity_keypair().public
-        if key_type is KeyType.CHAT_X25519:
-            return generate_chat_keypair().public
-        return self.sharing_pair().public_frame()
-
-
 def _classify(action: Callable[[], object]) -> tuple[str, object]:
     """Run a load and name the alarm it raises, if any."""
     try:
         value = action()
-    except FingerprintMismatchError as exc:
-        return OUTCOME_FINGERPRINT_MISMATCH, exc
-    except SignatureInvalidError as exc:
-        return OUTCOME_SIGNATURE_INVALID, exc
-    except KeyChangedWarningError as exc:
-        return OUTCOME_KEY_CHANGED, exc
+    except _ALARMS as exc:
+        return exc.code, exc
     return OUTCOME_NO_ALARM, value
 
 
@@ -160,30 +122,45 @@ def run_scenario(
     rng: random.Random | None = None,
     rsa_pool: Sequence[SharingKeyPair] | None = None,
 ) -> ScenarioReport:
-    """Run one scenario in a fresh world and report the outcome.
+    """Run one scenario over a fresh in-memory store and report the outcome.
 
     A victim publishes honest keys and a verifier loads the target key,
     once honestly if the scenario says so, then again under attack. The
     alarm that load raises, if any, is the observed outcome; the notes
     record what the verifier's rings hold afterwards.
+
+    RSA generation dominates setup cost, so batch runs may hand in a pool
+    of sharing pairs, of which victim and attacker draw distinct members.
+    Handles, EC keys and choices are fresh and driven by ``rng``.
     """
     scenario = _SCENARIOS.get(name)
     if scenario is None:
         raise ParameterError(
             f"unknown scenario {name!r}; known: {', '.join(SCENARIO_NAMES)}"
         )
-    world = ScenarioWorld(rng if rng is not None else random.Random(), rsa_pool)
-    store = world.store
-    material = OwnKeyMaterial(sharing=world.sharing_pair())
-    victim, _ = init_own_keys(store, world.handle("victim"), existing=material)
-    verifier = Session(store, world.handle("verifier"))
+    rng = rng if rng is not None else random.Random()
+    pool = list(rsa_pool or ())
+
+    def sharing_pair() -> SharingKeyPair:
+        """A pool member not drawn before, or a fresh pair once none is left."""
+        if not pool:
+            return generate_sharing_keypair()
+        return pool.pop(rng.randrange(len(pool)))
+
+    def new_handle(prefix: str) -> str:
+        return f"{prefix}-{rng.randrange(16**6):06x}"
+
+    store = AttributeStore()
+    material = OwnKeyMaterial(sharing=sharing_pair())
+    victim, _ = init_own_keys(store, new_handle("victim"), existing=material)
+    verifier = Session(store, new_handle("verifier"))
     handle = victim.own_handle
     honest_identity = victim.own_keys.identity.public
     strip = scenario.mode == ADVERSARY_STRIP_SIGNATURE
     report = ScenarioReport(name, scenario.expected, observed="")
     key_type = scenario.target
     if key_type is None:
-        key_type = world.rng.choice(SUB_KEY_TYPES)
+        key_type = rng.choice(SUB_KEY_TYPES)
         what = "stripped signature is for" if strip else "substituted sub-key is"
         report.notes.append(f"note: {what} {key_type.label}")
     identity = key_type is KeyType.IDENTITY_ED25519
@@ -207,7 +184,14 @@ def run_scenario(
     honest_record = ring.get(handle)
 
     attribute = key_type.signature_attribute if strip else key_type.key_attribute
-    forged = None if strip else world.attacker_key_octets(key_type)
+    if strip:
+        forged = None
+    elif key_type is KeyType.SHARING_RSA:
+        forged = sharing_pair().public_frame()
+    elif identity:
+        forged = generate_identity_keypair().public
+    else:
+        forged = generate_chat_keypair().public
     store.set_adversary(AdversaryConfig(scenario.mode, handle, attribute, forged))
     store.reset_stats()
     report.observed, value = _classify(load)

@@ -11,7 +11,6 @@ observable.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -116,7 +115,6 @@ class AttributeStore:
         self._path = Path(path) if path is not None else None
         self._users: dict[str, dict[str, bytes]] = {}
         self._counts: Counter[tuple[str, str]] = Counter()
-        self._total = 0
         self._adversary: AdversaryConfig | None = None
         if self._path is not None and self._path.exists():
             self._load()
@@ -124,33 +122,20 @@ class AttributeStore:
     # -- persistence ---------------------------------------------------
 
     def _load(self) -> None:
+        # ValueError covers bad UTF-8, bad JSON, bad base64 and bad RSA framing
         try:
             document = json.loads(self._path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreUnavailableError(f"cannot load store {self._path}: {exc}") from exc
-        try:
-            users = document["users"]
-            loaded: dict[str, dict[str, bytes]] = {}
-            for handle, attributes in users.items():
-                loaded[handle] = {}
-                for attribute, value in attributes.items():
-                    loaded[handle][attribute] = _decode_attribute(attribute, value)
+            self._users = {
+                handle: {
+                    attribute: _decode_attribute(attribute, value)
+                    for attribute, value in attributes.items()
+                }
+                for handle, attributes in document["users"].items()
+            }
         except (
-            KeyError, TypeError, AttributeError, binascii.Error, MalformedKeyError
+            OSError, ValueError, KeyError, TypeError, AttributeError, PublishError
         ) as exc:
-            raise StoreUnavailableError(
-                f"store {self._path} is structurally invalid: {exc}"
-            ) from exc
-        for handle, attributes in loaded.items():
-            for attribute, octets in attributes.items():
-                try:
-                    _validate_attribute_octets(attribute, octets)
-                except PublishError as exc:
-                    raise StoreUnavailableError(
-                        f"store {self._path} holds invalid {attribute!r} "
-                        f"for {handle!r}: {exc}"
-                    ) from exc
-        self._users = loaded
+            raise StoreUnavailableError(f"cannot load store {self._path}: {exc}") from exc
 
     def save(self) -> None:
         if self._path is None:
@@ -188,7 +173,6 @@ class AttributeStore:
         """
         if attribute not in VALID_ATTRIBUTES:
             raise ParameterError(f"unknown attribute {attribute!r}")
-        self._total += 1
         self._counts[(handle, attribute)] += 1
         adversary = self._adversary
         if (
@@ -209,10 +193,9 @@ class AttributeStore:
         self._adversary = config
 
     def stats(self) -> StoreStats:
-        return StoreStats(total=self._total, per_attribute=dict(self._counts))
+        return StoreStats(sum(self._counts.values()), dict(self._counts))
 
     def reset_stats(self) -> None:
-        self._total = 0
         self._counts.clear()
 
 
@@ -227,10 +210,15 @@ def _encode_attribute(attribute: str, octets: bytes):
 
 
 def _decode_attribute(attribute: str, value) -> bytes:
+    """The octets a stored value stands for, validated as ``publish`` would."""
     if attribute == KeyType.SHARING_RSA.key_attribute:
-        modulus = base64.b64decode(value["n"], validate=True)
-        exponent = base64.b64decode(value["e"], validate=True)
-        return frame_rsa_public(modulus, exponent)
+        # framing rejects the non-minimal components that publish rejects
+        return frame_rsa_public(
+            base64.b64decode(value["n"], validate=True),
+            base64.b64decode(value["e"], validate=True),
+        )
     if not isinstance(value, str):
         raise TypeError(f"{attribute} must be a base64 string")
-    return base64.b64decode(value, validate=True)
+    octets = base64.b64decode(value, validate=True)
+    _validate_attribute_octets(attribute, octets)
+    return octets

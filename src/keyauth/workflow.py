@@ -17,12 +17,14 @@ from .errors import (
     FingerprintMismatchError,
     InitError,
     KeyChangedWarningError,
+    MalformedKeyError,
     MissingKeyError,
     MissingRecordError,
     ParameterError,
     SignatureInvalidError,
 )
 from .keys import (
+    FINGERPRINT_OCTETS,
     SIGNATURE_OCTETS,
     SUB_KEY_TYPES,
     ChatKeyPair,
@@ -41,7 +43,6 @@ from .keys import (
 )
 from .store import AttributeStore
 
-FINGERPRINT_HEX_CHARS = 40
 GENERATE = "generate"
 PUBLISH = "publish"
 
@@ -215,24 +216,23 @@ class Session:
         """
         if not isinstance(asserted_hex, str):
             raise ParameterError("asserted fingerprint must be a string")
-        normalized = asserted_hex.replace(" ", "").lower()
-        if len(normalized) != FINGERPRINT_HEX_CHARS or any(
-            ch not in "0123456789abcdef" for ch in normalized
-        ):
+        try:
+            asserted = Fingerprint.from_hex(asserted_hex.replace(" ", ""))
+        except MalformedKeyError:
             raise ParameterError(
-                f"asserted fingerprint must be {FINGERPRINT_HEX_CHARS} hex characters"
-            )
+                f"asserted fingerprint must be {2 * FINGERPRINT_OCTETS} hex characters"
+            ) from None
         ring = self.rings[KeyType.IDENTITY_ED25519]
         record = ring.get(handle)
         if record is None:
             raise MissingRecordError(
                 f"no tracked identity key for {handle!r}; load it first"
             )
-        if record.fingerprint.hex() != normalized:
+        if record.fingerprint != asserted:
             raise ComparisonFailedError(
                 handle,
                 tracked=record.fingerprint,
-                observed=Fingerprint.from_hex(normalized),
+                observed=asserted,
                 key_type=KeyType.IDENTITY_ED25519,
             )
         return ring.track(handle, record.fingerprint, AuthMethod.FINGERPRINT_COMPARISON)
@@ -242,9 +242,7 @@ def init_own_keys(
     store: AttributeStore,
     own_handle: str,
     existing: OwnKeyMaterial | None = None,
-    rings: dict[KeyType, AuthRing] | None = None,
     rng: EntropySource | None = None,
-    force_identity: bool = False,
 ) -> tuple[Session, list[RepairAction]]:
     """Bring a user's key material and published attributes in line.
 
@@ -257,20 +255,19 @@ def init_own_keys(
 
     An inconsistent identity pair is the one case that is never repaired
     silently: regenerating it invalidates every published signature and
-    every contact's pin, so it requires ``force_identity``.
+    every contact's pin. To get a new identity anyway, drop the pair from
+    ``existing``: a missing identity pair is generated like any other.
     """
     material = existing if existing is not None else OwnKeyMaterial()
     report: list[RepairAction] = []
 
     identity = material.identity
     if identity is not None and not check_keypair_consistency(identity):
-        if not force_identity:
-            raise InitError(
-                "identity keypair is inconsistent; regenerating it would orphan "
-                "all published signatures and contacts' pins, pass "
-                "force_identity to do it anyway"
-            )
-        identity = None
+        raise InitError(
+            "identity keypair is inconsistent; regenerating it would orphan "
+            "all published signatures and contacts' pins; drop the pair to "
+            "generate a new identity anyway"
+        )
     if identity is None:
         identity = generate_identity_keypair(rng)
         report.append(RepairAction(GENERATE, KeyType.IDENTITY_ED25519.label))
@@ -312,7 +309,6 @@ def init_own_keys(
     session = Session(
         store,
         own_handle,
-        rings=rings,
         own_keys=OwnKeyMaterial(identity=identity, chat=chat, sharing=sharing),
     )
     return session, report

@@ -9,6 +9,9 @@ from __future__ import annotations
 import base64
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +150,27 @@ class TestInit:
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert ["generate", "identity-ed25519"] in rows
         assert ["publish", "sig_rsa"] in rows
+
+    def test_missing_user_is_usage_error(self, env, capsys):
+        code, _, err = env.run(
+            "--store", env.store_path, "--home", env.home("alice"), "init",
+            capsys=capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "--user" in err and "--store" not in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"!!!!\n", base64.b64encode(bytes(31)) + b"\n"],
+        ids=["bad-base64", "short-seed"],
+    )
+    def test_unreadable_private_key_names_the_file(self, env, capsys, content):
+        init_user(env, capsys, "alice")
+        key = env.home("alice") / "identity-ed25519.sk"
+        key.write_bytes(content)
+        code, _, err = env.run(*env.user_args("alice"), "init", capsys=capsys)
+        assert code == EXIT_ERROR
+        assert err.startswith("error[init]: ") and str(key) in err
 
     def test_corrupt_private_file(self, env, capsys):
         init_user(env, capsys, "alice")
@@ -366,6 +390,21 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    def test_machine_mode_row(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        _, bob_fp, _ = env.run(
+            *env.user_args("bob"), "--machine", "credentials", capsys=capsys
+        )
+        env.run(*env.user_args("alice"), "credentials", "bob", capsys=capsys)
+        code, out, _ = env.run(
+            *env.user_args("alice"), "--machine", "verify", "bob", bob_fp.strip(),
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        assert out == f"verified\tbob\t{bob_fp.strip()}\n"
+        assert len(bob_fp.strip()) == 40
+
     def test_mismatch_exits_2_with_warning(self, env, capsys):
         init_user(env, capsys, "alice")
         init_user(env, capsys, "bob")
@@ -513,6 +552,15 @@ class TestFileErrors:
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
 
+    def test_ring_of_another_key_type(self, env, capsys):
+        init_user(env, capsys, "alice")
+        home = env.home("alice")
+        ring = home / "identity-ed25519.ring"
+        ring.write_bytes((home / "chat-x25519.ring").read_bytes())
+        code, _, err = env.run("--home", home, "ring", "--all", capsys=capsys)
+        assert code == EXIT_ERROR
+        assert err.startswith("error[init]: ") and str(ring) in err
+
     def test_private_key_cannot_be_written(self, env, capsys, tmp_path):
         env.home("alice").mkdir()
         key = env.home("alice") / "identity-ed25519.sk"
@@ -544,6 +592,20 @@ class TestRing:
         assert ["chat-x25519", "bob"] == rows[1][:2]
         assert rows[1][3] == "signature-verified"
         assert rows[0][4] == "0"  # trust is stored but unused
+
+    def test_human_mode_is_space_separated(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        env.run(*env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys)
+        home = env.home("alice")
+        _, machine, _ = env.run(
+            "--home", home, "--machine", "ring", "--all", capsys=capsys
+        )
+        code, human, _ = env.run("--home", home, "ring", "--all", capsys=capsys)
+        assert code == EXIT_OK
+        rows = [line.split("\t") for line in machine.splitlines()]
+        assert len(rows) == 2 and all(len(row) == 5 for row in rows)
+        assert human.splitlines() == [" ".join(row) for row in rows]
 
     def test_without_type_or_all_is_usage_error(self, env, capsys):
         init_user(env, capsys, "alice")
@@ -644,3 +706,21 @@ class TestParsing:
             *env.user_args("alice"), "fetch", "bob", "tls", capsys=capsys
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["--help"], EXIT_OK), (["simulate", "mitm-quantum"], EXIT_USAGE)],
+        ids=["help", "unknown-scenario"],
+    )
+    def test_module_entry_point_exit_codes(self, argv, expected):
+        """``python -m keyauth.cli`` goes through ``run``, which exits with
+        ``main``'s code."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "keyauth.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == expected, done.stderr

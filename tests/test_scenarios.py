@@ -11,12 +11,22 @@ from pathlib import Path
 
 import pytest
 
-from keyauth import ParameterError
+from keyauth import (
+    Fingerprint,
+    FingerprintMismatchError,
+    KeyChangedWarningError,
+    KeyType,
+    MissingKeyError,
+    ParameterError,
+    SignatureInvalidError,
+)
 from keyauth.scenarios import (
     OUTCOME_FINGERPRINT_MISMATCH,
+    OUTCOME_KEY_CHANGED,
     OUTCOME_NO_ALARM,
     OUTCOME_SIGNATURE_INVALID,
     SCENARIO_NAMES,
+    _classify,
     build_rsa_pool,
     run_scenario,
     run_scenario_batch,
@@ -62,6 +72,53 @@ def test_batch_runner(pool):
 def test_unknown_scenario_rejected():
     with pytest.raises(ParameterError):
         run_scenario("mitm-coffee", random.Random(0))
+
+
+_FP = Fingerprint(bytes(20))
+
+
+@pytest.mark.parametrize(
+    "alarm, outcome",
+    [
+        (FingerprintMismatchError("bob", _FP, _FP), OUTCOME_FINGERPRINT_MISMATCH),
+        (
+            SignatureInvalidError("bob", KeyType.CHAT_X25519, _FP),
+            OUTCOME_SIGNATURE_INVALID,
+        ),
+        (
+            KeyChangedWarningError("bob", KeyType.SHARING_RSA, _FP, _FP),
+            OUTCOME_KEY_CHANGED,
+        ),
+    ],
+)
+def test_each_alarm_is_its_own_outcome(alarm, outcome):
+    def load():
+        raise alarm
+
+    assert _classify(load) == (outcome, alarm)
+
+
+def test_outcome_names_are_stable():
+    assert (
+        OUTCOME_NO_ALARM,
+        OUTCOME_FINGERPRINT_MISMATCH,
+        OUTCOME_SIGNATURE_INVALID,
+        OUTCOME_KEY_CHANGED,
+    ) == (
+        "no-alarm",
+        "fingerprint-mismatch",
+        "signature-invalid",
+        "key-changed-warning",
+    )
+
+
+def test_classify_passes_other_errors_and_values():
+    def missing():
+        raise MissingKeyError("no key")
+
+    with pytest.raises(MissingKeyError):
+        _classify(missing)
+    assert _classify(lambda: 5) == (OUTCOME_NO_ALARM, 5)
 
 
 def test_batch_rejects_zero_reps():
@@ -141,11 +198,30 @@ def test_fixed_seed_reports_are_golden(pool):
         assert rng.getrandbits(32) == next_bits, seed
 
 
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_detection_matrix.py"
+GOLDEN_MATRIX = Path(__file__).with_name("detection_matrix_reps3_seed7.json")
+
+
+def test_detection_matrix_json_is_golden():
+    """The script's matrix for a fixed seed matches the recorded one apart
+    from the elapsed time. The RSA pool is fresh on every run, but which
+    pool member is drawn never changes an outcome or a note."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--reps", "3", "--seed", "7", "--json"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    del result["elapsed_s"]
+    assert result == json.loads(GOLDEN_MATRIX.read_text())
+
+
 def test_detection_matrix_script_runs_from_any_directory(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_detection_matrix.py"
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     done = subprocess.run(
-        [sys.executable, str(script), "--reps", "1", "--json"],
+        [sys.executable, str(SCRIPT), "--reps", "1", "--json"],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -219,6 +219,9 @@ class TestPersistence:
             # RSA components with a leading zero octet are not minimal
             {"rsa_pub": {"n": padded_n, "e": "AQAB"}},
             {"rsa_pub": {"n": n, "e": "AAEAAQ=="}},
+            {"rsa_pub": {"n": n}},
+            {"tls_pub": "QUJD"},  # not an attribute the store knows
+            {"ed25519_pub": 5},
         ):
             path.write_text(json.dumps({"users": {"bob": attributes}}))
             with pytest.raises(StoreUnavailableError):

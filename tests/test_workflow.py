@@ -299,7 +299,16 @@ class TestVerifyContactFingerprint:
     def test_malformed_hex_rejected(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
-        for bad in ("abc", "g" * 40, "0" * 39, "0" * 41, "0" * 38 + "  "):
+        # bytes.fromhex skips whitespace, so tabs and newlines must not pass
+        for bad in (
+            "abc",
+            "g" * 40,
+            "0" * 39,
+            "0" * 41,
+            "0" * 38 + "  ",
+            "0" * 38 + "\t\t",
+            "0" * 38 + "\n\n",
+        ):
             with pytest.raises(ParameterError):
                 alice.verify_contact_fingerprint("bob", bad)
 
@@ -431,7 +440,7 @@ class TestInitOwnKeys:
         with pytest.raises(InitError):
             init_own_keys(store, "alice", existing=material)
         rebuilt, report = init_own_keys(
-            store, "alice", existing=material, force_identity=True
+            store, "alice", existing=dataclasses.replace(material, identity=None)
         )
         # a new trust root: both signatures had to be re-issued
         assert report == [
@@ -447,9 +456,7 @@ class TestInitOwnKeys:
         session, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
-        rebuilt, _ = init_own_keys(
-            store, "alice", existing=session.own_keys, force_identity=True
-        )
+        rebuilt, _ = init_own_keys(store, "alice", existing=session.own_keys)
         assert rebuilt.own_keys.identity == session.own_keys.identity
 
     def test_published_signatures_verify_end_to_end(self, rsa_pair):
