@@ -236,8 +236,8 @@ class AuthRing:
         if body[4] != RING_VERSION:
             raise BadVersionError(f"unsupported ring version {body[4]:#04x}")
         try:
-            key_type = KeyType.from_tag(body[5])
-        except ParameterError:
+            key_type = KeyType(body[5])
+        except ValueError:
             raise InvalidRingDataError(f"unknown key type tag {body[5]:#04x}") from None
         count = int.from_bytes(body[6:10], "big")
         offset = _HEADER_OCTETS

@@ -41,11 +41,11 @@ SIGNED_PAYLOAD_PREFIX = b"MEGA_KEYAUTH_SIG"
 class KeyType(Enum):
     """The three key types and every per-type fact the layers share.
 
-    Each member carries its wire ``tag`` octet (also the enum value), its
-    ``label`` (file names and reports), its short CLI ``alias``, the store
-    attribute holding its public key (``key_attribute``) and, for the two
-    sub-keys, the one holding the identity key's attestation
-    (``signature_attribute``, None for the identity key).
+    Each member carries its wire ``tag`` octet (the enum value, so
+    ``KeyType(tag)`` looks it up), its ``label`` (file names and reports),
+    its short CLI ``alias``, the store attribute holding its public key
+    (``key_attribute``) and, for the two sub-keys, the one holding the
+    identity key's attestation (``signature_attribute``, else None).
     """
 
     IDENTITY_ED25519 = (0x00, "identity-ed25519", "identity", "ed25519_pub", None)
@@ -60,20 +60,6 @@ class KeyType(Enum):
         member.key_attribute = key_attribute
         member.signature_attribute = signature_attribute
         return member
-
-    @classmethod
-    def from_tag(cls, tag: int) -> "KeyType":
-        try:
-            return cls(tag)
-        except ValueError:
-            raise ParameterError(f"unknown key type tag {tag:#04x}") from None
-
-    @classmethod
-    def from_label(cls, label: str) -> "KeyType":
-        for key_type in cls:
-            if label == key_type.label:
-                return key_type
-        raise ParameterError(f"unknown key type label {label!r}")
 
 
 # the key types the identity key attests, in report order
@@ -241,20 +227,15 @@ def generate_chat_keypair(rng: EntropySource | None = None) -> ChatKeyPair:
     return ChatKeyPair(private=scalar, public=derive_x25519_public(scalar))
 
 
-def generate_sharing_keypair(
-    rng: EntropySource | None = None, bits: int = RSA_KEY_BITS
-) -> SharingKeyPair:
+def generate_sharing_keypair(rng: EntropySource | None = None) -> SharingKeyPair:
     """Generate an RSA-2048 pair.
 
     With the default entropy source the prime search is delegated to the
     backing library. A caller-supplied ``rng`` switches to an internal
     Miller-Rabin search that draws every candidate and witness from it,
     which keeps the entropy contract uniform across the three generators
-    (and makes generation reproducible for tests). Only 2048-bit moduli
-    are accepted.
+    (and makes generation reproducible for tests).
     """
-    if bits != RSA_KEY_BITS:
-        raise ParameterError(f"modulus size must be {RSA_KEY_BITS} bits, got {bits}")
     if rng is None:
         key = rsa.generate_private_key(
             public_exponent=RSA_PUBLIC_EXPONENT, key_size=RSA_KEY_BITS

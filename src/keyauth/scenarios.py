@@ -246,10 +246,10 @@ def run_scenario(
     return report
 
 
-def build_rsa_pool(size: int = 4) -> list[SharingKeyPair]:
-    """Pregenerate sharing pairs for batch runs; generation dominates the
+def build_rsa_pool() -> list[SharingKeyPair]:
+    """Pregenerate four sharing pairs for batch runs; generation dominates the
     cost of a scenario, and detection logic never depends on RSA freshness."""
-    return [generate_sharing_keypair() for _ in range(size)]
+    return [generate_sharing_keypair() for _ in range(4)]
 
 
 def run_scenario_batch(

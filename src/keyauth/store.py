@@ -54,6 +54,12 @@ def _validate_attribute_octets(attribute: str, octets: bytes) -> None:
         raise PublishError(f"{attribute} must be {expected} octets, got {len(octets)}")
 
 
+def _checked_handle(handle) -> str:
+    if not isinstance(handle, str) or not handle:
+        raise ParameterError("handle must be a non-empty string")
+    return handle
+
+
 @dataclass(frozen=True)
 class AdversaryConfig:
     """One active tampering rule applied at fetch time.
@@ -122,11 +128,11 @@ class AttributeStore:
     # -- persistence ---------------------------------------------------
 
     def _load(self) -> None:
-        # ValueError covers bad UTF-8, bad JSON, bad base64 and bad RSA framing
+        # ValueError covers bad UTF-8, JSON, base64 and RSA framing, and empty handles
         try:
             document = json.loads(self._path.read_text(encoding="utf-8"))
             self._users = {
-                handle: {
+                _checked_handle(handle): {
                     attribute: _decode_attribute(attribute, value)
                     for attribute, value in attributes.items()
                 }
@@ -159,8 +165,7 @@ class AttributeStore:
 
     def publish(self, handle: str, attribute: str, octets: bytes) -> None:
         """Set an attribute for a user; last writer wins."""
-        if not isinstance(handle, str) or not handle:
-            raise ParameterError("handle must be a non-empty string")
+        _checked_handle(handle)
         _validate_attribute_octets(attribute, octets)
         self._users.setdefault(handle, {})[attribute] = octets
         self.save()

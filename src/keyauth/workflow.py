@@ -28,7 +28,6 @@ from .keys import (
     SIGNATURE_OCTETS,
     SUB_KEY_TYPES,
     ChatKeyPair,
-    EntropySource,
     Fingerprint,
     IdentityKeyPair,
     KeyType,
@@ -242,7 +241,6 @@ def init_own_keys(
     store: AttributeStore,
     own_handle: str,
     existing: OwnKeyMaterial | None = None,
-    rng: EntropySource | None = None,
 ) -> tuple[Session, list[RepairAction]]:
     """Bring a user's key material and published attributes in line.
 
@@ -269,17 +267,17 @@ def init_own_keys(
             "generate a new identity anyway"
         )
     if identity is None:
-        identity = generate_identity_keypair(rng)
+        identity = generate_identity_keypair()
         report.append(RepairAction(GENERATE, KeyType.IDENTITY_ED25519.label))
 
     chat = material.chat
     if chat is None or not check_keypair_consistency(chat):
-        chat = generate_chat_keypair(rng)
+        chat = generate_chat_keypair()
         report.append(RepairAction(GENERATE, KeyType.CHAT_X25519.label))
 
     sharing = material.sharing
     if sharing is None or not check_keypair_consistency(sharing):
-        sharing = generate_sharing_keypair(rng)
+        sharing = generate_sharing_keypair()
         report.append(RepairAction(GENERATE, KeyType.SHARING_RSA.label))
 
     # enum order fixes the report order, so reports are exactly comparable

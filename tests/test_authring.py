@@ -280,7 +280,7 @@ class TestParseErrors:
 
     def test_unknown_key_type_tag(self):
         data = build_ring_bytes(0x07, [])
-        with pytest.raises(InvalidRingDataError):
+        with pytest.raises(InvalidRingDataError, match="^unknown key type tag 0x07$"):
             AuthRing.from_bytes(data)
 
     def test_unknown_method_nibble(self):

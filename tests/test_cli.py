@@ -7,6 +7,7 @@ asserted directly.
 from __future__ import annotations
 
 import base64
+import json
 import os
 import stat
 import subprocess
@@ -19,6 +20,7 @@ from keyauth import (
     AttributeStore,
     KeyType,
     OwnKeyMaterial,
+    fingerprint_ec,
     generate_chat_keypair,
     generate_identity_keypair,
     sign_public_key,
@@ -420,6 +422,44 @@ class TestVerify:
         )
         assert ring_out.strip().split("\t")[3] == "seen"
 
+    def test_honest_fingerprint_exposes_forged_first_pin(self, env, capsys):
+        """The first-contact blind spot and its countermeasure: a forged
+        identity key pinned on first sight is only caught by comparing
+        fingerprints out of band."""
+        init_user(env, capsys, "bob")
+        init_user(env, capsys, "alice")
+        _, bob_fp, _ = env.run(
+            *env.user_args("bob"), "--machine", "credentials", capsys=capsys
+        )
+        forged = generate_identity_keypair().public
+        AttributeStore(env.store_path).publish("bob", "ed25519_pub", forged)
+        forged_row = ["identity-ed25519", "bob", fingerprint_ec(forged).hex(), "seen"]
+
+        def identity_row():
+            code, out, _ = env.run(
+                "--home", env.home("alice"), "--machine", "ring", "identity",
+                capsys=capsys,
+            )
+            assert code == EXIT_OK
+            return out.strip().split("\t")[:4]
+
+        code, _, _ = env.run(
+            *env.user_args("alice"), "credentials", "bob", capsys=capsys
+        )
+        assert code == EXIT_OK
+        assert identity_row() == forged_row
+        code, _, err = env.run(
+            *env.user_args("alice"), "verify", "bob", bob_fp.strip(), capsys=capsys
+        )
+        assert code == EXIT_FINGERPRINT_MISMATCH
+        assert "DO NOT TRUST" in err
+        assert identity_row() == forged_row
+        # bob's honest chat key is signed by his real identity, not the pin
+        code, _, _ = env.run(
+            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        )
+        assert code == EXIT_SIGNATURE_INVALID
+
     def test_untracked_contact_is_an_error(self, env, capsys):
         init_user(env, capsys, "alice")
         code, _, err = env.run(
@@ -521,6 +561,62 @@ class TestFetch:
         )
         assert code == EXIT_KEY_CHANGED
         assert "error[key-changed-warning]" in err
+
+
+def _corrupt_store(document, shape):
+    bob = document["users"]["bob"]
+    if shape == "not-json":
+        return "{"
+    if shape == "bad-base64":
+        bob["ed25519_pub"] = "!!!"
+    elif shape == "short-ed25519":
+        bob["ed25519_pub"] = base64.b64encode(b"abc").decode("ascii")
+    elif shape == "non-minimal-e":
+        bob["rsa_pub"]["e"] = base64.b64encode(b"\x00\x01\x00\x01").decode("ascii")
+    elif shape == "unknown-attribute":
+        bob["tls_pub"] = bob["ed25519_pub"]
+    elif shape == "empty-handle":
+        document["users"][""] = dict(bob)
+    return json.dumps(document)
+
+
+class TestCorruptStore:
+    """A store file that does not load stops the command before it writes
+    anything."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "not-json",
+            "bad-base64",
+            "short-ed25519",
+            "non-minimal-e",
+            "unknown-attribute",
+            "empty-handle",
+        ],
+    )
+    def test_fetch_and_init_exit_1_and_write_nothing(self, env, capsys, shape):
+        init_user(env, capsys, "bob")
+        init_user(env, capsys, "alice")
+        env.run(*env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys)
+        document = json.loads(env.store_path.read_text())
+        env.store_path.write_text(_corrupt_store(document, shape))
+        files = [env.store_path]
+        for user in ("alice", "bob"):
+            files += sorted(env.home(user).glob("*.ring"))
+            files += sorted(env.home(user).glob("*.sk"))
+        assert len(files) == 13
+        for path in files:
+            os.utime(path, ns=(10**18, 10**18))  # any rewrite moves mtime off this
+        before = [(path, os.stat(path), path.read_bytes()) for path in files]
+        for command in (["fetch", "bob", "chat"], ["init"]):
+            code, out, err = env.run(
+                *env.user_args("alice"), *command, capsys=capsys
+            )
+            assert code == EXIT_ERROR, command
+            assert out == ""
+            assert err.startswith("error[store-unavailable]: cannot load store"), err
+            TestWritePolicy.assert_untouched(before)
 
 
 class TestFileErrors:

@@ -233,10 +233,6 @@ class TestSharingKeys:
         block = b"\x00" + secrets.token_bytes(189)
         assert _raw_round_trip(rsa_pair, block) == block
 
-    def test_1024_bit_request_rejected(self):
-        with pytest.raises(ParameterError):
-            generate_sharing_keypair(bits=1024)
-
     def test_consistency_check(self, rsa_pair, rsa_pair_alt):
         assert check_keypair_consistency(rsa_pair)
         mixed = SharingKeyPair(
@@ -573,11 +569,9 @@ class TestKeyTypes:
         assert KeyType.CHAT_X25519.tag == 0x01
         assert KeyType.SHARING_RSA.tag == 0x02
         for key_type in KeyType:
-            assert KeyType.from_tag(key_type.tag) is key_type
-            assert KeyType.from_label(key_type.label) is key_type
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ParameterError):
-            KeyType.from_tag(0x03)
-        with pytest.raises(ParameterError):
-            KeyType.from_label("tls-rsa")
+            assert KeyType(key_type.tag) is key_type
+        assert [key_type.label for key_type in KeyType] == [
+            "identity-ed25519",
+            "chat-x25519",
+            "sharing-rsa",
+        ]

@@ -43,7 +43,7 @@ EXPECTED = {
 
 @pytest.fixture(scope="module")
 def pool():
-    return build_rsa_pool(4)
+    return build_rsa_pool()
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

@@ -227,6 +227,15 @@ class TestPersistence:
             with pytest.raises(StoreUnavailableError):
                 AttributeStore(path)
 
+    def test_empty_handle_in_file_raises(self, tmp_path):
+        # publish refuses an empty handle, so the loader must too
+        path = tmp_path / "store.json"
+        key = base64.b64encode(bytes(32)).decode("ascii")
+        for users in ({"": {"ed25519_pub": key}}, {"": {}}):
+            path.write_text(json.dumps({"users": users}))
+            with pytest.raises(StoreUnavailableError, match="non-empty"):
+                AttributeStore(path)
+
     def test_bad_base64_raises(self, tmp_path):
         path = tmp_path / "store.json"
         path.write_text(json.dumps({"users": {"bob": {"ed25519_pub": "!!!"}}}))
