@@ -97,15 +97,21 @@ def crc32c(data: bytes) -> int:
     return crc ^ 0xFFFFFFFF
 
 
-def _encode_handle(handle: str) -> bytes:
+def checked_handle(handle) -> str:
+    """``handle`` if a ring record can hold it: a non-empty string whose
+    UTF-8 encoding is at most 255 octets. Anything else raises
+    ParameterError."""
     if not isinstance(handle, str) or not handle:
         raise ParameterError("handle must be a non-empty string")
-    encoded = handle.encode("utf-8")
+    try:
+        encoded = handle.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParameterError("handle is not encodable as UTF-8") from None
     if len(encoded) > MAX_HANDLE_OCTETS:
         raise ParameterError(
             f"handle exceeds {MAX_HANDLE_OCTETS} octets when UTF-8 encoded"
         )
-    return encoded
+    return handle
 
 
 class AuthRing:
@@ -160,7 +166,7 @@ class AuthRing:
         fingerprint must match (a conflict raises and changes nothing) and
         the stored method becomes max(old, new); trust is preserved.
         """
-        _encode_handle(handle)
+        checked_handle(handle)
         if not isinstance(method, AuthMethod):
             raise ParameterError("method must be an AuthMethod")
         if not method_legal_for(self.key_type, method):

@@ -35,8 +35,6 @@ from .keys import (
     IdentityKeyPair,
     KeyType,
     SharingKeyPair,
-    derive_ed25519_public,
-    derive_x25519_public,
     fingerprint_ec,
 )
 from .scenarios import SCENARIO_NAMES, run_scenario_batch
@@ -86,14 +84,10 @@ def group_fingerprint_hex(hex40: str) -> str:
 # 0600 and is rewritten only when its bytes change.
 
 # private key file layout: the file holds the first ``count`` fields of
-# astuple(pair), and ``build`` turns those lines back into the pair
+# astuple(pair), which are the arguments that ``build`` takes
 _PRIVATE_LAYOUT = {
-    KeyType.IDENTITY_ED25519: (
-        1, lambda seed: IdentityKeyPair(seed, derive_ed25519_public(seed))
-    ),
-    KeyType.CHAT_X25519: (
-        1, lambda scalar: ChatKeyPair(scalar, derive_x25519_public(scalar))
-    ),
+    KeyType.IDENTITY_ED25519: (1, IdentityKeyPair),
+    KeyType.CHAT_X25519: (1, ChatKeyPair),
     KeyType.SHARING_RSA: (5, SharingKeyPair),
 }
 
@@ -195,6 +189,8 @@ class _UsageError(Exception):
 def _session(args) -> Iterator[Session]:
     """A session over the identity dir's rings. The rings are saved on exit
     even when a load raised: an alarm can follow a new identity pin."""
+    if not args.home.is_dir():
+        raise InitError(f"no identity dir at {args.home}; run init first")
     rings = load_rings(args.home)
     session = Session(AttributeStore(args.store), args.user, rings=rings)
     try:
@@ -212,17 +208,14 @@ def cmd_init(args) -> int:
     try:
         home.mkdir(parents=True, exist_ok=True, mode=0o700)
     except OSError as exc:
-        print(f"error[init]: cannot create identity dir {home}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise InitError(f"cannot create identity dir {home}: {exc}") from exc
     if not os.access(home, os.W_OK):
-        print(f"error[init]: identity dir {home} is not writable", file=sys.stderr)
-        return EXIT_ERROR
+        raise InitError(f"identity dir {home} is not writable")
 
-    material = load_own_material(home)
+    existing = load_own_material(home)
     rings = load_rings(home)
-    store = AttributeStore(args.store)
-    session, report = init_own_keys(store, args.user, existing=material)
-    save_own_material(home, session.own_keys)
+    material, report = init_own_keys(AttributeStore(args.store), args.user, existing)
+    save_own_material(home, material)
     save_rings(home, rings)
 
     if args.machine:

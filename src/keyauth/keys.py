@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import secrets
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -95,26 +95,27 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class IdentityKeyPair:
-    """Ed25519 signing pair; ``private`` is the 32-octet seed."""
+    """Ed25519 signing pair from ``private``, the 32-octet seed. ``public``
+    is derived from it (RFC 8032 §5.1.5), so the pair is always consistent."""
 
     private: bytes
-    public: bytes
+    public: bytes = field(init=False)
 
     def __post_init__(self):
-        _require_octets("identity private seed", self.private, EC_KEY_OCTETS)
-        _require_octets("identity public key", self.public, EC_KEY_OCTETS)
+        object.__setattr__(self, "public", derive_ed25519_public(self.private))
 
 
 @dataclass(frozen=True)
 class ChatKeyPair:
-    """X25519 agreement pair; ``private`` is the clamped 32-octet scalar."""
+    """X25519 agreement pair from ``private``, the clamped 32-octet scalar.
+    ``public`` is derived from it (RFC 7748 §6.1), so the pair is always
+    consistent."""
 
     private: bytes
-    public: bytes
+    public: bytes = field(init=False)
 
     def __post_init__(self):
-        _require_octets("chat private scalar", self.private, EC_KEY_OCTETS)
-        _require_octets("chat public key", self.public, EC_KEY_OCTETS)
+        object.__setattr__(self, "public", derive_x25519_public(self.private))
 
 
 @dataclass(frozen=True)
@@ -219,12 +220,11 @@ def derive_x25519_public(private: bytes) -> bytes:
 
 def generate_identity_keypair(rng: EntropySource | None = None) -> IdentityKeyPair:
     seed = _draw_entropy(rng, EC_KEY_OCTETS)
-    return IdentityKeyPair(private=seed, public=derive_ed25519_public(seed))
+    return IdentityKeyPair(seed)
 
 
 def generate_chat_keypair(rng: EntropySource | None = None) -> ChatKeyPair:
-    scalar = clamp_x25519_scalar(_draw_entropy(rng, EC_KEY_OCTETS))
-    return ChatKeyPair(private=scalar, public=derive_x25519_public(scalar))
+    return ChatKeyPair(clamp_x25519_scalar(_draw_entropy(rng, EC_KEY_OCTETS)))
 
 
 def generate_sharing_keypair(rng: EntropySource | None = None) -> SharingKeyPair:
@@ -442,26 +442,24 @@ def check_keypair_consistency(
 ) -> bool:
     """True iff the public half matches the private half.
 
-    For EC pairs the public key is re-derived. For RSA the RFC 8017 §3.2
-    relations are checked: ``n == p*q`` with distinct factors above 1,
-    ``e*d == 1 (mod lcm(p-1, q-1))``, and p and q prime. That relation
-    makes every block round-trip only when p and q are prime, so each
-    must pass trial division and a strong-probable-prime test to base 2.
-    Inconsistency is reported, never raised.
+    An EC pair derives its public half, so it is always consistent. For
+    RSA the RFC 8017 §3.2 relations are checked: ``n == p*q`` with
+    distinct factors above 1, ``e*d == 1 (mod lcm(p-1, q-1))``, and p and
+    q prime. That relation makes every block round-trip only when p and q
+    are prime, so each must pass trial division and a strong-probable-prime
+    test to base 2. Inconsistency is reported, never raised.
     """
+    if isinstance(pair, (IdentityKeyPair, ChatKeyPair)):
+        return True
+    if not isinstance(pair, SharingKeyPair):
+        raise ParameterError(f"not a keypair type: {type(pair).__name__}")
     try:
-        if isinstance(pair, IdentityKeyPair):
-            return derive_ed25519_public(pair.private) == pair.public
-        if isinstance(pair, ChatKeyPair):
-            return derive_x25519_public(pair.private) == pair.public
-        if isinstance(pair, SharingKeyPair):
-            n, e, d, p, q = (int.from_bytes(octets, "big") for octets in astuple(pair))
-            # the factor guards come first: the primality test needs p, q >= 2
-            if not (1 < p and 1 < q and p != q and n == p * q):
-                return False
-            if e * d % math.lcm(p - 1, q - 1) != 1:
-                return False
-            return _is_probable_prime(p, (2,)) and _is_probable_prime(q, (2,))
+        n, e, d, p, q = (int.from_bytes(octets, "big") for octets in astuple(pair))
+        # the factor guards come first: the primality test needs p, q >= 2
+        if not (1 < p and 1 < q and p != q and n == p * q):
+            return False
+        if e * d % math.lcm(p - 1, q - 1) != 1:
+            return False
+        return _is_probable_prime(p, (2,)) and _is_probable_prime(q, (2,))
     except Exception:
         return False
-    raise ParameterError(f"not a keypair type: {type(pair).__name__}")

@@ -152,10 +152,10 @@ def run_scenario(
 
     store = AttributeStore()
     material = OwnKeyMaterial(sharing=sharing_pair())
-    victim, _ = init_own_keys(store, new_handle("victim"), existing=material)
+    handle = new_handle("victim")
+    victim_keys, _ = init_own_keys(store, handle, existing=material)
     verifier = Session(store, new_handle("verifier"))
-    handle = victim.own_handle
-    honest_identity = victim.own_keys.identity.public
+    honest_identity = victim_keys.identity.public
     strip = scenario.mode == ADVERSARY_STRIP_SIGNATURE
     report = ScenarioReport(name, scenario.expected, observed="")
     key_type = scenario.target

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .authring import checked_handle
 from .errors import MalformedKeyError, ParameterError, PublishError, StoreUnavailableError
 from .keys import (
     EC_KEY_OCTETS,
@@ -52,12 +53,6 @@ def _validate_attribute_octets(attribute: str, octets: bytes) -> None:
         raise PublishError(f"unknown attribute {attribute!r}")
     if len(octets) != expected:
         raise PublishError(f"{attribute} must be {expected} octets, got {len(octets)}")
-
-
-def _checked_handle(handle) -> str:
-    if not isinstance(handle, str) or not handle:
-        raise ParameterError("handle must be a non-empty string")
-    return handle
 
 
 @dataclass(frozen=True)
@@ -128,11 +123,11 @@ class AttributeStore:
     # -- persistence ---------------------------------------------------
 
     def _load(self) -> None:
-        # ValueError covers bad UTF-8, JSON, base64 and RSA framing, and empty handles
+        # ValueError covers bad UTF-8, JSON, base64 and RSA framing, and bad handles
         try:
             document = json.loads(self._path.read_text(encoding="utf-8"))
             self._users = {
-                _checked_handle(handle): {
+                checked_handle(handle): {
                     attribute: _decode_attribute(attribute, value)
                     for attribute, value in attributes.items()
                 }
@@ -165,7 +160,7 @@ class AttributeStore:
 
     def publish(self, handle: str, attribute: str, octets: bytes) -> None:
         """Set an attribute for a user; last writer wins."""
-        _checked_handle(handle)
+        checked_handle(handle)
         _validate_attribute_octets(attribute, octets)
         self._users.setdefault(handle, {})[attribute] = octets
         self.save()

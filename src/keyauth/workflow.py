@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .authring import AuthMethod, AuthRecord, AuthRing, CompareResult
+from .authring import AuthMethod, AuthRecord, AuthRing, CompareResult, checked_handle
 from .errors import (
     ComparisonFailedError,
     FingerprintMismatchError,
-    InitError,
     KeyChangedWarningError,
     MalformedKeyError,
     MissingKeyError,
@@ -79,24 +78,17 @@ class RepairAction:
 
 
 class Session:
-    """A user's view of the world: the store, one ring per key type, and
-    (after initialisation) their own key material.
-
-    Loading contacts never consults the own key material, so a session
-    built from rings alone can fetch and verify other users' keys.
-    """
+    """A user's view of the world: the store and one ring per key type."""
 
     def __init__(
         self,
         store: AttributeStore,
         own_handle: str,
         rings: dict[KeyType, AuthRing] | None = None,
-        own_keys: OwnKeyMaterial | None = None,
     ):
         if not isinstance(store, AttributeStore):
             raise ParameterError("store must be an AttributeStore")
-        if not isinstance(own_handle, str) or not own_handle:
-            raise ParameterError("own_handle must be a non-empty string")
+        checked_handle(own_handle)
         if rings is None:
             rings = {key_type: AuthRing(key_type) for key_type in KeyType}
         for key_type in KeyType:
@@ -108,7 +100,6 @@ class Session:
         self.store = store
         self.own_handle = own_handle
         self.rings = rings
-        self.own_keys = own_keys
 
     def ring(self, key_type: KeyType) -> AuthRing:
         return self.rings[key_type]
@@ -241,37 +232,30 @@ def init_own_keys(
     store: AttributeStore,
     own_handle: str,
     existing: OwnKeyMaterial | None = None,
-) -> tuple[Session, list[RepairAction]]:
-    """Bring a user's key material and published attributes in line.
+) -> tuple[OwnKeyMaterial, list[RepairAction]]:
+    """Bring a user's key material and published attributes in line, and
+    return the material settled on with the report of what was done.
 
     Local private keys are the source of truth: missing pairs are
-    generated, inconsistent sub-key pairs are regenerated, and the store
-    is updated wherever it diverges (publics republished, signatures
-    re-signed when absent or no longer verifying). Each step is reported
-    in a fixed order, so a fully consistent state yields an empty report
-    and rerunning is byte-idempotent.
-
-    An inconsistent identity pair is the one case that is never repaired
-    silently: regenerating it invalidates every published signature and
-    every contact's pin. To get a new identity anyway, drop the pair from
-    ``existing``: a missing identity pair is generated like any other.
+    generated, an inconsistent RSA pair is regenerated (an EC pair is
+    consistent by construction), and the store is updated wherever it
+    diverges (publics republished, signatures re-signed when absent or no
+    longer verifying). Each step is reported in a fixed order, so a fully
+    consistent state yields an empty report and rerunning is
+    byte-idempotent. A new identity invalidates every published signature
+    and every contact's pin; it is generated only when ``existing`` has no
+    identity pair.
     """
     material = existing if existing is not None else OwnKeyMaterial()
     report: list[RepairAction] = []
 
     identity = material.identity
-    if identity is not None and not check_keypair_consistency(identity):
-        raise InitError(
-            "identity keypair is inconsistent; regenerating it would orphan "
-            "all published signatures and contacts' pins; drop the pair to "
-            "generate a new identity anyway"
-        )
     if identity is None:
         identity = generate_identity_keypair()
         report.append(RepairAction(GENERATE, KeyType.IDENTITY_ED25519.label))
 
     chat = material.chat
-    if chat is None or not check_keypair_consistency(chat):
+    if chat is None:
         chat = generate_chat_keypair()
         report.append(RepairAction(GENERATE, KeyType.CHAT_X25519.label))
 
@@ -304,9 +288,4 @@ def init_own_keys(
             store.publish(own_handle, attribute, signature.sig)
             report.append(RepairAction(PUBLISH, attribute))
 
-    session = Session(
-        store,
-        own_handle,
-        own_keys=OwnKeyMaterial(identity=identity, chat=chat, sharing=sharing),
-    )
-    return session, report
+    return OwnKeyMaterial(identity=identity, chat=chat, sharing=sharing), report

@@ -189,7 +189,7 @@ def test_criterion_5_round_trip_minimality(rsa_pair):
 def test_criterion_6_init_idempotence_and_repair(tmp_path, rsa_pair, rsa_pair_alt):
     path = tmp_path / "store.json"
     store = AttributeStore(path)
-    session, report = init_own_keys(
+    material, report = init_own_keys(
         store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
     )
     publishes = [action for action in report if action.action == PUBLISH]
@@ -202,7 +202,7 @@ def test_criterion_6_init_idempotence_and_repair(tmp_path, rsa_pair, rsa_pair_al
     ]
     snapshot = path.read_bytes()
 
-    _, rerun = init_own_keys(store, "alice", existing=session.own_keys)
+    _, rerun = init_own_keys(store, "alice", existing=material)
     assert rerun == []
     assert path.read_bytes() == snapshot, "re-init must not rewrite anything"
 
@@ -217,7 +217,7 @@ def test_criterion_6_init_idempotence_and_repair(tmp_path, rsa_pair, rsa_pair_al
     }
     for attribute, corrupt in corruptions.items():
         store.publish("alice", attribute, corrupt)
-        _, repairs = init_own_keys(store, "alice", existing=session.own_keys)
+        _, repairs = init_own_keys(store, "alice", existing=material)
         assert repairs == [RepairAction(PUBLISH, attribute)], attribute
         assert path.read_bytes() == snapshot, attribute
 

@@ -161,6 +161,8 @@ class TestRingSemantics:
         handle = "é" * 128  # 256 octets in UTF-8
         with pytest.raises(ParameterError):
             ring.track(handle, fp(1), AuthMethod.SEEN)
+        ring.track("€" * 85, fp(1), AuthMethod.SEEN)  # 255 octets
+        assert len(ring) == 1
 
     def test_trust_nibble_range(self):
         AuthRecord(fp(1), AuthMethod.SEEN, trust=15)

@@ -139,6 +139,17 @@ class TestInit:
         assert "error[init]" in err
         assert not env.store_path.exists()
 
+    def test_handle_no_ring_can_hold_publishes_nothing(self, env, capsys):
+        user = "€" * 85 + "b"  # 256 octets in UTF-8
+        code, out, err = env.run(
+            "--store", env.store_path, "--home", env.home("alice"), "--user", user,
+            "init", capsys=capsys,
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error[parameter]: handle exceeds 255 octets"), err
+        assert not env.store_path.exists()
+
     def test_missing_options_are_usage_errors(self, env, capsys):
         code, _, err = env.run("--user", "alice", "init", capsys=capsys)
         assert code == EXIT_USAGE
@@ -617,6 +628,28 @@ class TestCorruptStore:
             assert out == ""
             assert err.startswith("error[store-unavailable]: cannot load store"), err
             TestWritePolicy.assert_untouched(before)
+
+
+class TestMissingHome:
+    """A command that reads rings needs the identity dir that init makes; it
+    stops before it touches the store."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fetch", "bob", "chat"], ["verify", "bob", "0" * 40], ["credentials", "bob"]],
+        ids=["fetch", "verify", "credentials"],
+    )
+    def test_exits_1_and_writes_nothing(self, env, capsys, command):
+        init_user(env, capsys, "bob")
+        os.utime(env.store_path, ns=(10**18, 10**18))  # any rewrite moves mtime off this
+        before = [(env.store_path, os.stat(env.store_path), env.store_path.read_bytes())]
+        code, out, err = env.run(*env.user_args("alice"), *command, capsys=capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error[init]: ") and "run init first" in err, err
+        assert str(env.home("alice")) in err
+        assert not env.home("alice").exists()
+        TestWritePolicy.assert_untouched(before)
 
 
 class TestFileErrors:

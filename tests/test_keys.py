@@ -140,14 +140,18 @@ class TestIdentityKeys:
 
     def test_fixed_seed_matches_independent_derivation(self):
         seed = bytes([0x42]) * 32
-        pair = IdentityKeyPair(private=seed, public=derive_ed25519_public(seed))
+        pair = IdentityKeyPair(seed)
         assert pair.public == ed25519_public_from_seed(seed)
         assert pair.public.hex() == ED25519_PUB_SEED_42
 
-    def test_random_seeds_match_oracle(self):
-        for _ in range(5):
-            seed = secrets.token_bytes(32)
-            assert derive_ed25519_public(seed) == ed25519_public_from_seed(seed)
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.binary(min_size=32, max_size=32))
+    def test_random_seeds_match_oracle(self, seed):
+        # the public half is derived, never supplied, so a pair cannot be
+        # built with a public key that does not belong to its seed
+        assert IdentityKeyPair(seed).public == ed25519_public_from_seed(seed)
+        with pytest.raises(TypeError):
+            IdentityKeyPair(seed, public=ed25519_public_from_seed(seed))
 
     def test_entropy_failure_raises(self):
         def broken(n):
@@ -162,17 +166,13 @@ class TestIdentityKeys:
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(MalformedKeyError):
-            IdentityKeyPair(private=b"\x00" * 31, public=b"\x00" * 32)
+            IdentityKeyPair(private=b"\x00" * 31)
         with pytest.raises(MalformedKeyError):
             derive_ed25519_public(b"\x00" * 33)
 
     def test_consistency_check(self):
         pair = generate_identity_keypair()
         assert check_keypair_consistency(pair)
-        flipped = bytes([pair.public[0] ^ 0x01]) + pair.public[1:]
-        assert not check_keypair_consistency(
-            IdentityKeyPair(private=pair.private, public=flipped)
-        )
 
 
 class TestChatKeys:
@@ -196,26 +196,21 @@ class TestChatKeys:
 
     def test_fixed_scalar_matches_independent_derivation(self):
         raw = bytes([0x77]) * 32
-        pair = ChatKeyPair(
-            private=clamp_x25519_scalar(raw),
-            public=derive_x25519_public(clamp_x25519_scalar(raw)),
-        )
+        pair = ChatKeyPair(clamp_x25519_scalar(raw))
         assert pair.public == x25519_public_from_scalar(raw)
         assert pair.public.hex() == X25519_PUB_SCALAR_77
 
-    def test_random_scalars_match_oracle(self):
-        for _ in range(5):
-            raw = secrets.token_bytes(32)
-            clamped = clamp_x25519_scalar(raw)
-            assert derive_x25519_public(clamped) == x25519_public_from_scalar(raw)
+    @settings(deadline=None, max_examples=20)
+    @given(raw=st.binary(min_size=32, max_size=32))
+    def test_random_scalars_match_oracle(self, raw):
+        scalar = clamp_x25519_scalar(raw)
+        assert ChatKeyPair(scalar).public == x25519_public_from_scalar(raw)
+        with pytest.raises(TypeError):
+            ChatKeyPair(scalar, public=x25519_public_from_scalar(raw))
 
     def test_consistency_check(self):
         pair = generate_chat_keypair()
         assert check_keypair_consistency(pair)
-        other = generate_chat_keypair()
-        assert not check_keypair_consistency(
-            ChatKeyPair(private=pair.private, public=other.public)
-        )
 
 
 class TestSharingKeys:
@@ -542,10 +537,7 @@ class TestSignatures:
         data=st.data(),
     )
     def test_any_single_bit_flip_fails(self, payload, where, data):
-        identity = IdentityKeyPair(
-            private=bytes([0x42]) * 32,
-            public=derive_ed25519_public(bytes([0x42]) * 32),
-        )
+        identity = IdentityKeyPair(private=bytes([0x42]) * 32)
         signature = sign_public_key(identity, KeyType.CHAT_X25519, payload).sig
         target = {"payload": payload, "signature": signature, "signer": identity.public}[
             where

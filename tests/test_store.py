@@ -72,6 +72,20 @@ class TestPublishFetch:
         with pytest.raises(ParameterError):
             store.fetch("bob", "tls_pub")
 
+    def test_handle_octet_limit(self, store, tmp_path):
+        # a handle is what a ring record can hold: at most 255 UTF-8 octets
+        longest = "€" * 85  # 255 octets
+        store.publish(longest, "ed25519_pub", bytes(32))
+        assert AttributeStore(tmp_path / "store.json").fetch(
+            longest, "ed25519_pub"
+        ) == bytes(32)
+        snapshot = (tmp_path / "store.json").read_bytes()
+        for handle in (longest + "b", "\udcff"):  # 256 octets; not UTF-8
+            with pytest.raises(ParameterError):
+                store.publish(handle, "ed25519_pub", bytes(32))
+            assert store.fetch(handle, "ed25519_pub") is None
+        assert (tmp_path / "store.json").read_bytes() == snapshot
+
     def test_rsa_pub_frame_round_trip(self, store, rsa_pair):
         framed = rsa_pair.public_frame()
         store.publish("bob", "rsa_pub", framed)
@@ -234,6 +248,14 @@ class TestPersistence:
         for users in ({"": {"ed25519_pub": key}}, {"": {}}):
             path.write_text(json.dumps({"users": users}))
             with pytest.raises(StoreUnavailableError, match="non-empty"):
+                AttributeStore(path)
+
+    def test_handle_no_ring_can_hold_in_file_raises(self, tmp_path):
+        path = tmp_path / "store.json"
+        key = base64.b64encode(bytes(32)).decode("ascii")
+        for handle in ("€" * 85 + "b", "\udcff"):  # 256 octets; not UTF-8
+            path.write_text(json.dumps({"users": {handle: {"ed25519_pub": key}}}))
+            with pytest.raises(StoreUnavailableError):
                 AttributeStore(path)
 
     def test_bad_base64_raises(self, tmp_path):

@@ -19,7 +19,6 @@ from keyauth import (
     ComparisonFailedError,
     FingerprintMismatchError,
     IdentityKeyPair,
-    InitError,
     KeyChangedWarningError,
     KeyType,
     MissingKeyError,
@@ -62,7 +61,7 @@ class TestLoadIdentityKey:
         store, bob, alice = world
         loaded = alice.load_identity_key("bob")
         assert loaded.key_type is KeyType.IDENTITY_ED25519
-        assert loaded.public_octets == bob.own_keys.identity.public
+        assert loaded.public_octets == bob.identity.public
         assert loaded.method is AuthMethod.SEEN
         assert loaded.freshly_tracked
         assert store.stats().total == 1
@@ -79,7 +78,7 @@ class TestLoadIdentityKey:
     def test_substitution_after_contact_alarms(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
-        honest = fingerprint_ec(bob.own_keys.identity.public)
+        honest = fingerprint_ec(bob.identity.public)
         attacker = generate_identity_keypair().public
         substitute(store, "bob", "ed25519_pub", attacker)
         with pytest.raises(FingerprintMismatchError) as exc_info:
@@ -99,7 +98,7 @@ class TestLoadIdentityKey:
         store, bob, alice = world
         alice.load_identity_key("bob")
         alice.verify_contact_fingerprint(
-            "bob", fingerprint_ec(bob.own_keys.identity.public).hex()
+            "bob", fingerprint_ec(bob.identity.public).hex()
         )
         loaded = alice.load_identity_key("bob")
         assert loaded.method is AuthMethod.FINGERPRINT_COMPARISON
@@ -203,7 +202,7 @@ class TestUnsignedFallback:
     def test_upgrade_when_signature_appears(self, unsigned_world):
         store, identity, chat, alice = unsigned_world
         alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        owner = IdentityKeyPair(private=identity.private, public=identity.public)
+        owner = IdentityKeyPair(private=identity.private)
         store.publish(
             "bob",
             "sig_x25519",
@@ -231,7 +230,7 @@ class TestKeyChange:
     def test_legitimate_rotation_warns(self, world):
         store, bob, alice = world
         alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        old_fp = fingerprint_ec(bob.own_keys.chat.public)
+        old_fp = fingerprint_ec(bob.chat.public)
         # bob rotates his chat key and signs the new one properly
         new_chat = generate_chat_keypair()
         store.publish("bob", "x25519_pub", new_chat.public)
@@ -239,7 +238,7 @@ class TestKeyChange:
             "bob",
             "sig_x25519",
             sign_public_key(
-                bob.own_keys.identity, KeyType.CHAT_X25519, new_chat.public
+                bob.identity, KeyType.CHAT_X25519, new_chat.public
             ).sig,
         )
         with pytest.raises(KeyChangedWarningError) as exc_info:
@@ -269,14 +268,14 @@ class TestVerifyContactFingerprint:
     def test_match_upgrades_to_strongest(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
-        fp_hex = fingerprint_ec(bob.own_keys.identity.public).hex()
+        fp_hex = fingerprint_ec(bob.identity.public).hex()
         record = alice.verify_contact_fingerprint("bob", fp_hex)
         assert record.method is AuthMethod.FINGERPRINT_COMPARISON
 
     def test_display_form_accepted(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
-        fp_hex = fingerprint_ec(bob.own_keys.identity.public).hex()
+        fp_hex = fingerprint_ec(bob.identity.public).hex()
         grouped_upper = " ".join(
             fp_hex[i : i + 5] for i in range(0, 40, 5)
         ).upper()
@@ -315,7 +314,7 @@ class TestVerifyContactFingerprint:
     def test_idempotent_at_top_strength(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
-        fp_hex = fingerprint_ec(bob.own_keys.identity.public).hex()
+        fp_hex = fingerprint_ec(bob.identity.public).hex()
         alice.verify_contact_fingerprint("bob", fp_hex)
         record = alice.verify_contact_fingerprint("bob", fp_hex)
         assert record.method is AuthMethod.FINGERPRINT_COMPARISON
@@ -341,7 +340,7 @@ class TestSession:
 class TestInitOwnKeys:
     def test_fresh_user_generates_and_publishes_everything(self, tmp_path):
         store = AttributeStore(tmp_path / "store.json")
-        session, report = init_own_keys(store, "alice")
+        material, report = init_own_keys(store, "alice")
         assert report == [
             RepairAction(GENERATE, "identity-ed25519"),
             RepairAction(GENERATE, "chat-x25519"),
@@ -352,24 +351,24 @@ class TestInitOwnKeys:
             RepairAction(PUBLISH, "sig_x25519"),
             RepairAction(PUBLISH, "sig_rsa"),
         ]
-        assert session.own_keys.identity is not None
+        assert material.identity is not None
         assert store.fetch("alice", "sig_rsa") is not None
 
     def test_rerun_is_empty_and_byte_idempotent(self, tmp_path, rsa_pair):
         path = tmp_path / "store.json"
         store = AttributeStore(path)
-        session, _ = init_own_keys(
+        material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
         snapshot = path.read_bytes()
-        _, report = init_own_keys(store, "alice", existing=session.own_keys)
+        _, report = init_own_keys(store, "alice", existing=material)
         assert report == []
         assert path.read_bytes() == snapshot
 
     def test_missing_signature_is_the_only_repair(self, rsa_pair):
         # a legacy publisher: keys in the store, sharing signature never set
         store = AttributeStore()
-        session, _ = init_own_keys(
+        material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
         fresh = AttributeStore()
@@ -377,7 +376,7 @@ class TestInitOwnKeys:
         fresh.publish("alice", "x25519_pub", store.fetch("alice", "x25519_pub"))
         fresh.publish("alice", "rsa_pub", store.fetch("alice", "rsa_pub"))
         fresh.publish("alice", "sig_x25519", store.fetch("alice", "sig_x25519"))
-        _, report = init_own_keys(fresh, "alice", existing=session.own_keys)
+        _, report = init_own_keys(fresh, "alice", existing=material)
         assert report == [RepairAction(PUBLISH, "sig_rsa")]
 
     @pytest.mark.parametrize(
@@ -388,7 +387,7 @@ class TestInitOwnKeys:
         self, attribute, rsa_pair, rsa_pair_alt
     ):
         store = AttributeStore()
-        session, _ = init_own_keys(
+        material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
         corrupt = {
@@ -399,46 +398,17 @@ class TestInitOwnKeys:
             "sig_rsa": lambda: secrets.token_bytes(64),
         }[attribute]()
         store.publish("alice", attribute, corrupt)
-        _, report = init_own_keys(store, "alice", existing=session.own_keys)
+        _, report = init_own_keys(store, "alice", existing=material)
         assert report == [RepairAction(PUBLISH, attribute)]
         # and the follow-up run is clean
-        _, report = init_own_keys(store, "alice", existing=session.own_keys)
+        _, report = init_own_keys(store, "alice", existing=material)
         assert report == []
 
-    def test_inconsistent_chat_pair_regenerated(self, rsa_pair):
+    def test_dropped_identity_is_regenerated(self, rsa_pair):
         store = AttributeStore()
-        session, _ = init_own_keys(
+        material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
-        broken = dataclasses.replace(
-            session.own_keys.chat, public=generate_chat_keypair().public
-        )
-        material = OwnKeyMaterial(
-            identity=session.own_keys.identity, chat=broken, sharing=rsa_pair
-        )
-        rebuilt, report = init_own_keys(store, "alice", existing=material)
-        assert report == [
-            RepairAction(GENERATE, "chat-x25519"),
-            RepairAction(PUBLISH, "x25519_pub"),
-            RepairAction(PUBLISH, "sig_x25519"),
-        ]
-        assert rebuilt.own_keys.chat != broken
-        # published state now matches the regenerated key
-        assert store.fetch("alice", "x25519_pub") == rebuilt.own_keys.chat.public
-
-    def test_inconsistent_identity_needs_force(self, rsa_pair):
-        store = AttributeStore()
-        session, _ = init_own_keys(
-            store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
-        )
-        broken = dataclasses.replace(
-            session.own_keys.identity, public=generate_identity_keypair().public
-        )
-        material = OwnKeyMaterial(
-            identity=broken, chat=session.own_keys.chat, sharing=rsa_pair
-        )
-        with pytest.raises(InitError):
-            init_own_keys(store, "alice", existing=material)
         rebuilt, report = init_own_keys(
             store, "alice", existing=dataclasses.replace(material, identity=None)
         )
@@ -449,21 +419,21 @@ class TestInitOwnKeys:
             RepairAction(PUBLISH, "sig_x25519"),
             RepairAction(PUBLISH, "sig_rsa"),
         ]
-        assert rebuilt.own_keys.identity.public != broken.public
+        assert rebuilt.identity.public != material.identity.public
 
     def test_consistent_identity_never_touched(self, rsa_pair):
         store = AttributeStore()
-        session, _ = init_own_keys(
+        material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
-        rebuilt, _ = init_own_keys(store, "alice", existing=session.own_keys)
-        assert rebuilt.own_keys.identity == session.own_keys.identity
+        rebuilt, _ = init_own_keys(store, "alice", existing=material)
+        assert rebuilt.identity == material.identity
 
     def test_published_signatures_verify_end_to_end(self, rsa_pair):
         from keyauth import verify_key_signature
 
         store = AttributeStore()
-        session, _ = init_own_keys(
+        material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
         identity_public = store.fetch("alice", "ed25519_pub")
@@ -484,7 +454,7 @@ class TestInitOwnKeys:
         # the sharing fingerprint computed from the framed store octets must
         # equal the one computed from the local pair
         store = AttributeStore()
-        session, _ = init_own_keys(
+        material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
         framed = store.fetch("alice", "rsa_pub")
