@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
 
-from .authring import AuthRing
+from .authring import AuthRing, checked_handle
 from .errors import (
     ComparisonFailedError,
     FingerprintMismatchError,
@@ -39,7 +39,7 @@ from .keys import (
 )
 from .scenarios import SCENARIO_NAMES, run_scenario_batch
 from .store import AttributeStore
-from .workflow import OwnKeyMaterial, Session, init_own_keys
+from .workflow import PUBLISH, OwnKeyMaterial, Session, init_own_keys
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -204,27 +204,25 @@ def _session(args) -> Iterator[Session]:
 
 def cmd_init(args) -> int:
     _require(args, "store", "home", "user")
+    checked_handle(args.user)
     home = args.home
     try:
         home.mkdir(parents=True, exist_ok=True, mode=0o700)
     except OSError as exc:
         raise InitError(f"cannot create identity dir {home}: {exc}") from exc
-    if not os.access(home, os.W_OK):
-        raise InitError(f"identity dir {home} is not writable")
 
     existing = load_own_material(home)
     rings = load_rings(home)
-    material, report = init_own_keys(AttributeStore(args.store), args.user, existing)
+    store = AttributeStore(args.store)
+    material, report = init_own_keys(store, args.user, existing)
     save_own_material(home, material)
     save_rings(home, rings)
+    if any(action.action == PUBLISH for action in report):
+        store.save()
 
-    if args.machine:
-        for action in report:
-            print(f"{action.action}\t{action.target}")
-    elif report:
-        for action in report:
-            print(action)
-    else:
+    for action in report:
+        print(f"{action.action}\t{action.target}" if args.machine else action)
+    if not (report or args.machine):
         print("nothing to repair")
     return EXIT_OK
 

@@ -108,8 +108,8 @@ class AttributeStore:
 
     With ``path=None`` the store lives purely in memory (used by the
     attack scenarios). With a path, the file is loaded if present and
-    rewritten deterministically after every publish, so byte-identical
-    state always produces a byte-identical file.
+    written only by ``save``, deterministically, so byte-identical state
+    always produces a byte-identical file.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -159,11 +159,10 @@ class AttributeStore:
     # -- core operations -----------------------------------------------
 
     def publish(self, handle: str, attribute: str, octets: bytes) -> None:
-        """Set an attribute for a user; last writer wins."""
+        """Set an attribute in memory, not in the file; last writer wins."""
         checked_handle(handle)
         _validate_attribute_octets(attribute, octets)
         self._users.setdefault(handle, {})[attribute] = octets
-        self.save()
 
     def fetch(self, handle: str, attribute: str) -> bytes | None:
         """Read an attribute as seen over the wire; absent values are None.

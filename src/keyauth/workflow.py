@@ -244,7 +244,8 @@ def init_own_keys(
     consistent state yields an empty report and rerunning is
     byte-idempotent. A new identity invalidates every published signature
     and every contact's pin; it is generated only when ``existing`` has no
-    identity pair.
+    identity pair. The store changes in memory only: the caller saves it
+    after writing the returned private keys.
     """
     material = existing if existing is not None else OwnKeyMaterial()
     report: list[RepairAction] = []

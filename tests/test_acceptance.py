@@ -200,10 +200,12 @@ def test_criterion_6_init_idempotence_and_repair(tmp_path, rsa_pair, rsa_pair_al
         "sig_x25519",
         "sig_rsa",
     ]
+    store.save()
     snapshot = path.read_bytes()
 
     _, rerun = init_own_keys(store, "alice", existing=material)
     assert rerun == []
+    store.save()
     assert path.read_bytes() == snapshot, "re-init must not rewrite anything"
 
     corruptions = {
@@ -219,6 +221,7 @@ def test_criterion_6_init_idempotence_and_repair(tmp_path, rsa_pair, rsa_pair_al
         store.publish("alice", attribute, corrupt)
         _, repairs = init_own_keys(store, "alice", existing=material)
         assert repairs == [RepairAction(PUBLISH, attribute)], attribute
+        store.save()
         assert path.read_bytes() == snapshot, attribute
 
 

@@ -149,6 +149,7 @@ class TestInit:
         assert out == ""
         assert err.startswith("error[parameter]: handle exceeds 255 octets"), err
         assert not env.store_path.exists()
+        assert not env.home("alice").exists()
 
     def test_missing_options_are_usage_errors(self, env, capsys):
         code, _, err = env.run("--user", "alice", "init", capsys=capsys)
@@ -192,12 +193,51 @@ class TestInit:
         assert code == EXIT_ERROR
         assert "error[init]" in err
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 3: init publishes to the store before it writes "
-        "the private key files",
-    )
+    def test_store_is_saved_once_after_the_keys(self, env, capsys, monkeypatch):
+        key_names = ["chat-x25519.sk", "identity-ed25519.sk", "sharing-rsa.sk"]
+        keys_at_save = []
+        save = AttributeStore.save
+
+        def recording_save(store):
+            keys_at_save.append(
+                sorted(path.name for path in env.home("alice").glob("*.sk"))
+            )
+            save(store)
+
+        monkeypatch.setattr(AttributeStore, "save", recording_save)
+        init_user(env, capsys, "alice")
+        assert keys_at_save == [key_names]
+        os.utime(env.store_path, ns=(10**18, 10**18))  # a rewrite moves mtime
+        old, data = os.stat(env.store_path), env.store_path.read_bytes()
+        assert init_user(env, capsys, "alice").strip() == "nothing to repair"
+        assert keys_at_save == [key_names]
+        new = os.stat(env.store_path)
+        assert (new.st_ino, new.st_mtime_ns) == (old.st_ino, old.st_mtime_ns)
+        assert env.store_path.read_bytes() == data
+
+    def test_unwritable_store_keeps_the_keys(self, env, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, _, err = env.run(
+            "--store", blocker / "store.json", "--home", env.home("alice"),
+            "--user", "alice", "init", capsys=capsys,
+        )
+        assert code == EXIT_ERROR
+        assert err.startswith("error[store-unavailable]: cannot write store"), err
+        assert sorted(path.name for path in env.home("alice").glob("*.sk")) == [
+            "chat-x25519.sk",
+            "identity-ed25519.sk",
+            "sharing-rsa.sk",
+        ]
+        # the keys on disk are the truth: a good store gets them, none is new
+        assert init_user(env, capsys, "alice").strip().splitlines() == [
+            "publish ed25519_pub",
+            "publish x25519_pub",
+            "publish rsa_pub",
+            "publish sig_x25519",
+            "publish sig_rsa",
+        ]
+
     def test_failed_key_write_publishes_nothing(self, env, capsys, tmp_path):
         env.home("alice").mkdir()
         key = env.home("alice") / "identity-ed25519.sk"
@@ -309,6 +349,7 @@ class TestWritePolicy:
         init_user(env, capsys, "bob")
         store = AttributeStore(env.store_path)
         store.publish("bob", "x25519_pub", generate_chat_keypair().public)
+        store.save()
         code, _, _ = env.run(
             *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
         )
@@ -443,7 +484,9 @@ class TestVerify:
             *env.user_args("bob"), "--machine", "credentials", capsys=capsys
         )
         forged = generate_identity_keypair().public
-        AttributeStore(env.store_path).publish("bob", "ed25519_pub", forged)
+        store = AttributeStore(env.store_path)
+        store.publish("bob", "ed25519_pub", forged)
+        store.save()
         forged_row = ["identity-ed25519", "bob", fingerprint_ec(forged).hex(), "seen"]
 
         def identity_row():
@@ -536,6 +579,7 @@ class TestFetch:
         env.run(*env.user_args("alice"), "fetch", "bob", "identity", capsys=capsys)
         store = AttributeStore(env.store_path)
         store.publish("bob", "ed25519_pub", generate_identity_keypair().public)
+        store.save()
         code, _, err = env.run(
             *env.user_args("alice"), "fetch", "bob", "identity", capsys=capsys
         )
@@ -547,6 +591,7 @@ class TestFetch:
         init_user(env, capsys, "bob")
         store = AttributeStore(env.store_path)
         store.publish("bob", "x25519_pub", generate_chat_keypair().public)
+        store.save()
         code, _, err = env.run(
             *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
         )
@@ -567,6 +612,7 @@ class TestFetch:
             "sig_x25519",
             sign_public_key(identity, KeyType.CHAT_X25519, new_chat.public).sig,
         )
+        store.save()
         code, _, err = env.run(
             *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
         )

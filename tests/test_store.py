@@ -37,6 +37,7 @@ def publish_full_user(store, handle, rsa_pair):
     store.publish(handle, "rsa_pub", rsa_pair.public_frame())
     store.publish(handle, "sig_x25519", secrets.token_bytes(64))
     store.publish(handle, "sig_rsa", secrets.token_bytes(64))
+    store.save()
     return identity, chat
 
 
@@ -76,6 +77,7 @@ class TestPublishFetch:
         # a handle is what a ring record can hold: at most 255 UTF-8 octets
         longest = "€" * 85  # 255 octets
         store.publish(longest, "ed25519_pub", bytes(32))
+        store.save()
         assert AttributeStore(tmp_path / "store.json").fetch(
             longest, "ed25519_pub"
         ) == bytes(32)
@@ -207,6 +209,22 @@ class TestPersistence:
         reloaded.save()
         assert (tmp_path / "store.json").read_bytes() == first
 
+    def test_publish_writes_nothing_until_save(self, store, rsa_pair, tmp_path):
+        path = tmp_path / "store.json"
+        for handle in ("bob", "carol"):
+            for attribute, octets in (
+                ("ed25519_pub", generate_identity_keypair().public),
+                ("x25519_pub", generate_chat_keypair().public),
+                ("rsa_pub", rsa_pair.public_frame()),
+                ("sig_x25519", secrets.token_bytes(64)),
+                ("sig_rsa", secrets.token_bytes(64)),
+            ):
+                store.publish(handle, attribute, octets)
+        assert not path.exists()
+        store.save()
+        reloaded = AttributeStore(path)
+        assert reloaded._users == store._users
+
     def test_memory_only_store(self):
         store = AttributeStore()
         store.publish("bob", "ed25519_pub", bytes(32))
@@ -269,5 +287,6 @@ class TestPersistence:
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         store = AttributeStore(blocker / "store.json")
+        store.publish("bob", "ed25519_pub", bytes(32))
         with pytest.raises(StoreUnavailableError):
-            store.publish("bob", "ed25519_pub", bytes(32))
+            store.save()

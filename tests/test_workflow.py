@@ -360,9 +360,11 @@ class TestInitOwnKeys:
         material, _ = init_own_keys(
             store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
         )
+        store.save()
         snapshot = path.read_bytes()
         _, report = init_own_keys(store, "alice", existing=material)
         assert report == []
+        store.save()
         assert path.read_bytes() == snapshot
 
     def test_missing_signature_is_the_only_repair(self, rsa_pair):
