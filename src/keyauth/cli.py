@@ -15,7 +15,7 @@ import binascii
 import os
 import random
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
@@ -150,20 +150,19 @@ def save_own_material(identity_dir: Path, material: OwnKeyMaterial) -> None:
             )
 
 
-def load_rings(identity_dir: Path) -> dict[KeyType, AuthRing]:
-    """Read ring files; a missing file is an empty ring, corruption raises."""
+def load_rings(
+    identity_dir: Path, key_types: Iterable[KeyType]
+) -> dict[KeyType, AuthRing]:
+    """Read the ring files of ``key_types``, and no other; a missing file is
+    an empty ring, corruption raises."""
     rings: dict[KeyType, AuthRing] = {}
-    for key_type in KeyType:
+    for key_type in key_types:
         path = identity_dir / f"{key_type.label}.ring"
         data = _read(path)
-        if data is None:
-            rings[key_type] = AuthRing(key_type)
-            continue
-        rings[key_type] = AuthRing.from_bytes(data)
-        if rings[key_type].key_type is not key_type:
-            raise InitError(
-                f"ring file {path} holds a {rings[key_type].key_type.label} ring"
-            )
+        ring = AuthRing(key_type) if data is None else AuthRing.from_bytes(data)
+        if ring.key_type is not key_type:
+            raise InitError(f"ring file {path} holds a {ring.key_type.label} ring")
+        rings[key_type] = ring
     return rings
 
 
@@ -187,12 +186,15 @@ class _UsageError(Exception):
 
 @contextmanager
 def _session(args) -> Iterator[Session]:
-    """A session over the identity dir's rings. The rings are saved on exit
-    even when a load raised: an alarm can follow a new identity pin."""
+    """A session over the store and the identity dir's rings. A ring file is
+    parsed only when a decision first needs it, and on exit the rings that
+    were parsed are saved, even when a load raised: an alarm can follow a
+    new identity pin."""
     if not args.home.is_dir():
         raise InitError(f"no identity dir at {args.home}; run init first")
-    rings = load_rings(args.home)
-    session = Session(AttributeStore(args.store), args.user, rings=rings)
+    store = AttributeStore(args.store)
+    # load_rings is looked up at each call, so a rebound name sees every load
+    session = Session(store, args.user, lambda kt: load_rings(args.home, [kt])[kt])
     try:
         yield session
     finally:
@@ -212,11 +214,12 @@ def cmd_init(args) -> int:
         raise InitError(f"cannot create identity dir {home}: {exc}") from exc
 
     existing = load_own_material(home)
-    rings = load_rings(home)
     store = AttributeStore(args.store)
     material, report = init_own_keys(store, args.user, existing)
     save_own_material(home, material)
-    save_rings(home, rings)
+    # init reads no ring; it only creates the ring files that are absent
+    absent = [kt for kt in KeyType if not (home / f"{kt.label}.ring").exists()]
+    save_rings(home, {kt: AuthRing(kt) for kt in absent})
     if any(action.action == PUBLISH for action in report):
         store.save()
 
@@ -302,9 +305,7 @@ def cmd_ring(args) -> int:
         if args.key_type is None:
             raise _UsageError("give a key type or --all")
         key_types = [_KEY_TYPE_ALIASES[args.key_type]]
-    rings = load_rings(args.home)
-    for key_type in key_types:
-        ring = rings[key_type]
+    for key_type, ring in load_rings(args.home, key_types).items():
         for handle, record in ring.records():
             columns = (
                 key_type.label,

@@ -78,31 +78,29 @@ class RepairAction:
 
 
 class Session:
-    """A user's view of the world: the store and one ring per key type."""
+    """A user's view of the world: the store and one ring per key type,
+    which ``load_ring(key_type)`` supplies when a decision first needs it.
+    The default gives empty in-memory rings."""
 
-    def __init__(
-        self,
-        store: AttributeStore,
-        own_handle: str,
-        rings: dict[KeyType, AuthRing] | None = None,
-    ):
+    def __init__(self, store: AttributeStore, own_handle: str, load_ring=AuthRing):
         if not isinstance(store, AttributeStore):
             raise ParameterError("store must be an AttributeStore")
         checked_handle(own_handle)
-        if rings is None:
-            rings = {key_type: AuthRing(key_type) for key_type in KeyType}
-        for key_type in KeyType:
-            ring = rings.get(key_type)
-            if ring is None or ring.key_type is not key_type:
-                raise ParameterError(
-                    f"session needs a ring for {key_type.label}"
-                )
         self.store = store
         self.own_handle = own_handle
-        self.rings = rings
+        self._load_ring = load_ring
+        self.rings: dict[KeyType, AuthRing] = {}
 
     def ring(self, key_type: KeyType) -> AuthRing:
-        return self.rings[key_type]
+        """The ring for ``key_type``, loaded on first use and kept in
+        ``rings``; a loaded ring of another key type raises ParameterError."""
+        ring = self.rings.get(key_type)
+        if ring is None:
+            ring = self._load_ring(key_type)
+            if ring.key_type is not key_type:
+                raise ParameterError(f"session needs a ring for {key_type.label}")
+            self.rings[key_type] = ring
+        return ring
 
     # -- loading contacts ------------------------------------------------
 
@@ -118,7 +116,7 @@ class Session:
         if public is None:
             raise MissingKeyError(f"{handle!r} has no published identity key")
         fingerprint = fingerprint_for(key_type, public)
-        result = self.rings[key_type].compare(handle, fingerprint)
+        result = self.ring(key_type).compare(handle, fingerprint)
         return self._pin_on_first_sight(handle, key_type, public, fingerprint, result)
 
     def load_signed_key(self, handle: str, key_type: KeyType) -> LoadedKey:
@@ -140,7 +138,7 @@ class Session:
         if public is None:
             raise MissingKeyError(f"{handle!r} has no published {key_type.label} key")
         fingerprint = fingerprint_for(key_type, public)
-        ring = self.rings[key_type]
+        ring = self.ring(key_type)
         result = ring.compare(handle, fingerprint)
         existing = ring.get(handle)
         if (
@@ -181,7 +179,7 @@ class Session:
     ) -> LoadedKey:
         """Accept a matching key, pin an unseen one with method SEEN, and
         raise on a mismatch, leaving the ring unchanged."""
-        ring = self.rings[key_type]
+        ring = self.ring(key_type)
         if result is CompareResult.MATCH:
             return LoadedKey(key_type, public, ring.get(handle).method, False)
         if result is CompareResult.ABSENT:
@@ -212,7 +210,7 @@ class Session:
             raise ParameterError(
                 f"asserted fingerprint must be {2 * FINGERPRINT_OCTETS} hex characters"
             ) from None
-        ring = self.rings[KeyType.IDENTITY_ED25519]
+        ring = self.ring(KeyType.IDENTITY_ED25519)
         record = ring.get(handle)
         if record is None:
             raise MissingRecordError(

@@ -18,6 +18,7 @@ import pytest
 
 from keyauth import (
     AttributeStore,
+    AuthRing,
     KeyType,
     OwnKeyMaterial,
     fingerprint_ec,
@@ -281,7 +282,7 @@ class TestKeyFiles:
 
 class TestWritePolicy:
     """Every identity-dir file is mode 0600 and is rewritten only when its
-    bytes change."""
+    bytes change. A command parses only the rings it uses."""
 
     @staticmethod
     def stamped_rings(env, user):
@@ -360,6 +361,62 @@ class TestWritePolicy:
         assert code == EXIT_OK
         row = out.strip().split("\t")
         assert row[1] == "bob" and row[3] == "seen"
+
+    @staticmethod
+    def record_ring_parses(monkeypatch):
+        parsed = []
+        parse = AuthRing.from_bytes
+
+        def recording_parse(data):
+            ring = parse(data)
+            parsed.append(ring.key_type)
+            return ring
+
+        monkeypatch.setattr(AuthRing, "from_bytes", staticmethod(recording_parse))
+        return parsed
+
+    def test_each_command_parses_only_the_rings_it_uses(
+        self, env, capsys, monkeypatch
+    ):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        parsed = self.record_ring_parses(monkeypatch)
+
+        def parses(*args):
+            parsed.clear()
+            code, _, err = env.run(*args, capsys=capsys)
+            assert code == EXIT_OK, err
+            return list(parsed)
+
+        alice = env.user_args("alice")
+        identity, chat = KeyType.IDENTITY_ED25519, KeyType.CHAT_X25519
+        # cold: the chat key's signature needs bob's identity key
+        assert parses(*alice, "fetch", "bob", "chat") == [chat, identity]
+        assert parses(*alice, "fetch", "bob", "chat") == [chat]
+        assert parses(*alice, "fetch", "bob", "identity") == [identity]
+        assert parses("--home", env.home("alice"), "ring", "chat") == [chat]
+        assert parses(*alice, "init") == []  # a no-op init
+
+    def test_corrupt_ring_fails_only_the_command_that_reads_it(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        ring = env.home("alice") / "sharing-rsa.ring"
+        corrupt = bytearray(ring.read_bytes())
+        corrupt[-1] ^= 0x01
+        ring.write_bytes(bytes(corrupt))
+        alice = env.user_args("alice")
+
+        code, _, err = env.run(*alice, "fetch", "bob", "identity", capsys=capsys)
+        assert code == EXIT_OK, err
+        assert ring.read_bytes() == corrupt
+        code, out, err = env.run(*alice, "init", capsys=capsys)
+        assert code == EXIT_OK, err
+        assert out.strip() == "nothing to repair"
+        assert ring.read_bytes() == corrupt
+        code, _, err = env.run(*alice, "fetch", "bob", "sharing", capsys=capsys)
+        assert code == EXIT_ERROR
+        assert err.startswith("error[ring-checksum-mismatch]: ")
+        assert ring.read_bytes() == corrupt
 
 
 class TestCredentials:

@@ -321,20 +321,30 @@ class TestVerifyContactFingerprint:
 
 
 class TestSession:
-    def test_requires_all_rings(self):
-        store = AttributeStore()
+    def test_loads_each_ring_once_on_first_use(self, world):
+        store, _, _ = world
         from keyauth import AuthRing
 
-        with pytest.raises(ParameterError):
-            Session(store, "alice", rings={KeyType.IDENTITY_ED25519: AuthRing(KeyType.IDENTITY_ED25519)})
+        loads = []
 
-    def test_ring_type_must_line_up(self):
-        store = AttributeStore()
+        def load_ring(key_type):
+            loads.append(key_type)
+            return AuthRing(key_type)
+
+        alice = Session(store, "alice", load_ring)
+        assert loads == []
+        alice.load_identity_key("bob")
+        alice.load_identity_key("bob")
+        assert loads == [KeyType.IDENTITY_ED25519]
+        assert list(alice.rings) == [KeyType.IDENTITY_ED25519]
+
+    def test_ring_type_must_line_up(self, world):
+        store, _, _ = world
         from keyauth import AuthRing
 
-        rings = {key_type: AuthRing(KeyType.CHAT_X25519) for key_type in KeyType}
+        alice = Session(store, "alice", lambda _: AuthRing(KeyType.CHAT_X25519))
         with pytest.raises(ParameterError):
-            Session(store, "alice", rings=rings)
+            alice.load_identity_key("bob")
 
 
 class TestInitOwnKeys:
