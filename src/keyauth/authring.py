@@ -245,6 +245,13 @@ class AuthRing:
             key_type = KeyType(body[5])
         except ValueError:
             raise InvalidRingDataError(f"unknown key type tag {body[5]:#04x}") from None
+        # every legal packed octet of this ring type: (trust << 4) | method
+        legal = {
+            (trust << 4) | method: (method, trust)
+            for method in AuthMethod
+            if method_legal_for(key_type, method)
+            for trust in range(MAX_TRUST + 1)
+        }
         count = int.from_bytes(body[6:10], "big")
         offset = _HEADER_OCTETS
         records: dict[str, AuthRecord] = {}
@@ -282,17 +289,11 @@ class AuthRing:
             packed = body[offset]
             offset += 1
             try:
-                method = AuthMethod(packed & 0x0F)
-            except ValueError:
-                raise InvalidRingDataError(
-                    f"unknown method nibble {packed & 0x0F:#03x}"
-                ) from None
-            if not method_legal_for(key_type, method):
-                raise InvalidRingDataError(
-                    f"method {method.label} is illegal in a {key_type.label} ring"
-                )
+                method, trust = legal[packed]
+            except KeyError:
+                raise _illegal_packed_octet(key_type, packed) from None
             records[handle] = AuthRecord(
-                fingerprint=fingerprint, method=method, trust=packed >> 4
+                fingerprint=fingerprint, method=method, trust=trust
             )
         if offset != len(body):
             raise InvalidRingDataError(
@@ -301,3 +302,14 @@ class AuthRing:
         ring = cls(key_type)
         ring._records = records
         return ring
+
+
+def _illegal_packed_octet(key_type: KeyType, packed: int) -> InvalidRingDataError:
+    """Why a record's method/trust octet is not legal in a ``key_type`` ring."""
+    try:
+        method = AuthMethod(packed & 0x0F)
+    except ValueError:
+        return InvalidRingDataError(f"unknown method nibble {packed & 0x0F:#03x}")
+    return InvalidRingDataError(
+        f"method {method.label} is illegal in a {key_type.label} ring"
+    )

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import astuple
 from pathlib import Path
 
-from .authring import AuthRing, checked_handle
+from .authring import AuthRecord, AuthRing, checked_handle
 from .errors import (
     ComparisonFailedError,
     FingerprintMismatchError,
@@ -80,8 +80,10 @@ def group_fingerprint_hex(hex40: str) -> str:
 # <identity_dir>/<key type label>.sk    private key, one base64 line per field
 # <identity_dir>/<key type label>.ring  serialised authentication ring
 #
-# Every file is read by _read and written by _write, so every file is mode
-# 0600 and is rewritten only when its bytes change.
+# Every file is read by _read and written by _write, which writes it at mode
+# 0600 and only when its bytes change. init writes the private key files and
+# creates the ring files that are absent; any other command writes only the
+# rings whose records it changed.
 
 # private key file layout: the file holds the first ``count`` fields of
 # astuple(pair), which are the arguments that ``build`` takes
@@ -187,18 +189,34 @@ class _UsageError(Exception):
 @contextmanager
 def _session(args) -> Iterator[Session]:
     """A session over the store and the identity dir's rings. A ring file is
-    parsed only when a decision first needs it, and on exit the rings that
-    were parsed are saved, even when a load raised: an alarm can follow a
-    new identity pin."""
+    parsed only when a decision first needs it, and on exit the rings whose
+    records changed are saved, even when a load raised: an alarm can follow
+    a new identity pin. A ring parses only from its canonical bytes, and
+    equal records serialise to equal bytes, so a ring whose records did not
+    change would be written unchanged: it is not serialised at all."""
     if not args.home.is_dir():
         raise InitError(f"no identity dir at {args.home}; run init first")
     store = AttributeStore(args.store)
-    # load_rings is looked up at each call, so a rebound name sees every load
-    session = Session(store, args.user, lambda kt: load_rings(args.home, [kt])[kt])
+    records_at_load: dict[KeyType, list[tuple[str, AuthRecord]]] = {}
+
+    def load_ring(key_type: KeyType) -> AuthRing:
+        # load_rings is looked up at each call, so a rebound name sees every load
+        ring = load_rings(args.home, [key_type])[key_type]
+        records_at_load[key_type] = ring.records()
+        return ring
+
+    session = Session(store, args.user, load_ring)
     try:
         yield session
     finally:
-        save_rings(args.home, session.rings)
+        save_rings(
+            args.home,
+            {
+                key_type: ring
+                for key_type, ring in session.rings.items()
+                if ring.records() != records_at_load[key_type]
+            },
+        )
 
 
 # -- commands -----------------------------------------------------------------

@@ -36,21 +36,31 @@ ADVERSARY_SUBSTITUTE_KEY = "substitute_key"
 ADVERSARY_STRIP_SIGNATURE = "strip_signature"
 
 
+# octets of each attribute with a fixed size; rsa_pub is the one known
+# attribute of variable size
+_FIXED_OCTETS = {
+    KeyType.IDENTITY_ED25519.key_attribute: EC_KEY_OCTETS,
+    KeyType.CHAT_X25519.key_attribute: EC_KEY_OCTETS,
+    **dict.fromkeys(SIGNATURE_ATTRIBUTES, SIGNATURE_OCTETS),
+}
+
+
 def _validate_attribute_octets(attribute: str, octets: bytes) -> None:
     if not isinstance(octets, bytes):
         raise PublishError(f"{attribute} value must be bytes")
-    if attribute == KeyType.SHARING_RSA.key_attribute:
+    expected = _FIXED_OCTETS.get(attribute)
+    if expected is not None:
+        _check_length(attribute, octets, expected)
+    elif attribute == KeyType.SHARING_RSA.key_attribute:
         try:
             unframe_rsa_public(octets)
         except MalformedKeyError as exc:
             raise PublishError(f"{attribute} is not a valid framed key: {exc}") from exc
-        return
-    if attribute in PUBLIC_KEY_ATTRIBUTES:
-        expected = EC_KEY_OCTETS
-    elif attribute in SIGNATURE_ATTRIBUTES:
-        expected = SIGNATURE_OCTETS
     else:
         raise PublishError(f"unknown attribute {attribute!r}")
+
+
+def _check_length(attribute: str, octets: bytes, expected: int) -> None:
     if len(octets) != expected:
         raise PublishError(f"{attribute} must be {expected} octets, got {len(octets)}")
 
@@ -210,14 +220,20 @@ def _encode_attribute(attribute: str, octets: bytes):
 
 def _decode_attribute(attribute: str, value) -> bytes:
     """The octets a stored value stands for, validated as ``publish`` would."""
-    if attribute == KeyType.SHARING_RSA.key_attribute:
-        # framing rejects the non-minimal components that publish rejects
-        return frame_rsa_public(
-            base64.b64decode(value["n"], validate=True),
-            base64.b64decode(value["e"], validate=True),
-        )
-    if not isinstance(value, str):
-        raise TypeError(f"{attribute} must be a base64 string")
-    octets = base64.b64decode(value, validate=True)
-    _validate_attribute_octets(attribute, octets)
-    return octets
+    expected = _FIXED_OCTETS.get(attribute)
+    if expected is not None:
+        if not isinstance(value, str):
+            raise TypeError(f"{attribute} must be a base64 string")
+        octets = base64.b64decode(value, validate=True)
+        _check_length(attribute, octets, expected)
+        return octets
+    if attribute != KeyType.SHARING_RSA.key_attribute:
+        raise PublishError(f"unknown attribute {attribute!r}")
+    # save() writes exactly n and e; anything more would be lost by the next save
+    if not isinstance(value, dict) or value.keys() != {"n", "e"}:
+        raise TypeError(f"{attribute} must be an object holding exactly n and e")
+    # framing rejects the non-minimal components that publish rejects
+    return frame_rsa_public(
+        base64.b64decode(value["n"], validate=True),
+        base64.b64decode(value["e"], validate=True),
+    )

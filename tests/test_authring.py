@@ -285,16 +285,39 @@ class TestParseErrors:
         with pytest.raises(InvalidRingDataError, match="^unknown key type tag 0x07$"):
             AuthRing.from_bytes(data)
 
-    def test_unknown_method_nibble(self):
-        data = build_ring_bytes(0x01, [(b"bob", bytes(20), 0, 0x7)])
-        with pytest.raises(InvalidRingDataError):
-            AuthRing.from_bytes(data)
+    # written out from the format definition, not taken from the library
+    LEGAL_NIBBLES = {
+        KeyType.IDENTITY_ED25519: {0x0, 0x2},
+        KeyType.CHAT_X25519: {0x0, 0x1},
+        KeyType.SHARING_RSA: {0x0, 0x1},
+    }
+    METHOD_LABELS = {
+        0x0: "seen",
+        0x1: "signature-verified",
+        0x2: "fingerprint-comparison",
+    }
 
-    def test_illegal_method_for_ring_type(self):
-        # fingerprint-comparison inside a chat ring
-        data = build_ring_bytes(0x01, [(b"bob", bytes(20), 0, 0x2)])
-        with pytest.raises(InvalidRingDataError):
-            AuthRing.from_bytes(data)
+    @pytest.mark.parametrize("nibble", range(16), ids=lambda nibble: f"{nibble:#03x}")
+    @pytest.mark.parametrize("key_type", list(KeyType), ids=lambda kt: kt.label)
+    def test_method_nibble(self, key_type, nibble):
+        """A record parses exactly when its low nibble names a method legal
+        for the ring; the high nibble is the trust, whatever its value."""
+        for trust in (0, 15):
+            data = build_ring_bytes(key_type.tag, [(b"bob", bytes(20), trust, nibble)])
+            if nibble in self.LEGAL_NIBBLES[key_type]:
+                record = AuthRing.from_bytes(data).get("bob")
+                assert (record.method, record.trust) == (nibble, trust)
+                continue
+            if nibble in self.METHOD_LABELS:
+                message = (
+                    f"method {self.METHOD_LABELS[nibble]} is illegal "
+                    f"in a {key_type.label} ring"
+                )
+            else:
+                message = f"unknown method nibble {nibble:#03x}"
+            with pytest.raises(InvalidRingDataError) as raised:
+                AuthRing.from_bytes(data)
+            assert str(raised.value) == message
 
     def test_trailing_data(self):
         data = build_ring_bytes(0x01, [], trailing=b"\x00")

@@ -281,8 +281,9 @@ class TestKeyFiles:
 
 
 class TestWritePolicy:
-    """Every identity-dir file is mode 0600 and is rewritten only when its
-    bytes change. A command parses only the rings it uses."""
+    """Every identity-dir file a command writes is mode 0600. A command
+    parses only the rings it uses, and serialises and writes only the rings
+    whose records it changed."""
 
     @staticmethod
     def stamped_rings(env, user):
@@ -417,6 +418,85 @@ class TestWritePolicy:
         assert code == EXIT_ERROR
         assert err.startswith("error[ring-checksum-mismatch]: ")
         assert ring.read_bytes() == corrupt
+
+
+    @staticmethod
+    def record_ring_serialisations(monkeypatch):
+        serialised = []
+        serialise = AuthRing.to_bytes
+
+        def recording_serialise(ring):
+            serialised.append(ring.key_type)
+            return serialise(ring)
+
+        monkeypatch.setattr(AuthRing, "to_bytes", recording_serialise)
+        return serialised
+
+    def test_each_command_serialises_only_the_rings_it_changed(
+        self, env, capsys, monkeypatch
+    ):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        serialised = self.record_ring_serialisations(monkeypatch)
+
+        def serialisations(*args):
+            serialised.clear()
+            code, _, err = env.run(*args, capsys=capsys)
+            assert code == EXIT_OK, err
+            return list(serialised)
+
+        alice = env.user_args("alice")
+        identity, chat = KeyType.IDENTITY_ED25519, KeyType.CHAT_X25519
+        # cold: pins bob's chat key and, to check its signature, his identity key
+        assert serialisations(*alice, "fetch", "bob", "chat") == [chat, identity]
+        assert serialisations(*alice, "fetch", "bob", "chat") == []
+        assert serialisations(*alice, "fetch", "bob", "identity") == []
+
+    def test_repeated_verify_serialises_and_writes_no_ring(
+        self, env, capsys, monkeypatch
+    ):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        alice = env.user_args("alice")
+        code, out, err = env.run(
+            *alice, "--machine", "credentials", "bob", capsys=capsys
+        )
+        assert code == EXIT_OK, err
+        fingerprint = out.strip()
+        code, _, err = env.run(*alice, "verify", "bob", fingerprint, capsys=capsys)
+        assert code == EXIT_OK, err
+        before = self.stamped_rings(env, "alice")
+        serialised = self.record_ring_serialisations(monkeypatch)
+        code, _, err = env.run(*alice, "verify", "bob", fingerprint, capsys=capsys)
+        assert code == EXIT_OK, err
+        assert serialised == []
+        self.assert_untouched(before)
+
+    def test_ring_read_but_unchanged_keeps_its_mode(self, env, capsys):
+        # only a write sets mode 0600, and an unchanged ring is not written
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        alice = env.user_args("alice")
+        code, _, err = env.run(*alice, "fetch", "bob", "identity", capsys=capsys)
+        assert code == EXIT_OK, err
+        ring = env.home("alice") / "identity-ed25519.ring"
+        os.chmod(ring, 0o640)
+        code, _, err = env.run(*alice, "fetch", "bob", "identity", capsys=capsys)
+        assert code == EXIT_OK, err
+        assert stat.S_IMODE(os.stat(ring).st_mode) == 0o640
+
+    def test_absent_ring_still_empty_is_not_created(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        ring = env.home("alice") / "identity-ed25519.ring"
+        ring.unlink()
+        # reads the (empty) identity ring, finds no record and changes nothing
+        code, _, err = env.run(
+            *env.user_args("alice"), "verify", "bob", "00" * 20, capsys=capsys
+        )
+        assert code == EXIT_ERROR
+        assert err.startswith("error[missing-record]: ")
+        assert not ring.exists()
 
 
 class TestCredentials:

@@ -5,8 +5,12 @@ from __future__ import annotations
 import base64
 import json
 import secrets
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyauth import (
     AdversaryConfig,
@@ -252,12 +256,65 @@ class TestPersistence:
             {"rsa_pub": {"n": padded_n, "e": "AQAB"}},
             {"rsa_pub": {"n": n, "e": "AAEAAQ=="}},
             {"rsa_pub": {"n": n}},
+            # save() would drop the extra key, so the loader refuses it
+            {"rsa_pub": {"n": n, "e": "AQAB", "d": "AQAB"}},
             {"tls_pub": "QUJD"},  # not an attribute the store knows
             {"ed25519_pub": 5},
         ):
             path.write_text(json.dumps({"users": {"bob": attributes}}))
             with pytest.raises(StoreUnavailableError):
                 AttributeStore(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        attribute=st.sampled_from(VALID_ATTRIBUTES + ("tls_pub",)),
+        octets=st.one_of(
+            st.binary(max_size=100),
+            st.sampled_from([32, 64]).flatmap(
+                lambda size: st.binary(min_size=size, max_size=size)
+            ),
+        ),
+        exponent=st.binary(max_size=4),
+    )
+    def test_publish_and_open_accept_the_same_values(
+        self, attribute, octets, exponent
+    ):
+        """``publish`` refuses a value exactly when a store file holding it
+        fails to open, and an accepted value survives save and open. An
+        rsa_pub value is the modulus ``octets`` with ``exponent``, framed
+        for publish and stored as its two base64 components."""
+
+        def encode(raw):
+            return base64.b64encode(raw).decode("ascii")
+
+        if attribute == "rsa_pub":
+            value = {"n": encode(octets), "e": encode(exponent)}
+            octets = b"".join(
+                len(part).to_bytes(2, "big") + part for part in (octets, exponent)
+            )
+        else:
+            value = encode(octets)
+        with tempfile.TemporaryDirectory() as tmp:
+            written = Path(tmp, "written.json")
+            published = Path(tmp, "published.json")
+            written.write_text(json.dumps({"users": {"bob": {attribute: value}}}))
+            try:
+                opened = AttributeStore(written)
+            except StoreUnavailableError:
+                opened = None
+            store = AttributeStore(published)
+            try:
+                store.publish("bob", attribute, octets)
+            except PublishError:
+                assert opened is None
+                return
+            assert opened is not None
+            assert opened.fetch("bob", attribute) == octets
+            store.save()
+            reopened = AttributeStore(published)
+            assert reopened.fetch("bob", attribute) == octets
+            opened.save()  # the canonical file of the same state
+            assert written.read_bytes() == published.read_bytes()
 
     def test_empty_handle_in_file_raises(self, tmp_path):
         # publish refuses an empty handle, so the loader must too
@@ -278,9 +335,12 @@ class TestPersistence:
 
     def test_bad_base64_raises(self, tmp_path):
         path = tmp_path / "store.json"
-        path.write_text(json.dumps({"users": {"bob": {"ed25519_pub": "!!!"}}}))
-        with pytest.raises(StoreUnavailableError):
-            AttributeStore(path)
+        key = base64.b64encode(bytes(32)).decode("ascii")
+        # a lenient decoder would skip the "!" and accept the 32 octets
+        for value in ("!!!", key[:8] + "!" + key[8:]):
+            path.write_text(json.dumps({"users": {"bob": {"ed25519_pub": value}}}))
+            with pytest.raises(StoreUnavailableError):
+                AttributeStore(path)
 
     def test_unwritable_path_raises(self, tmp_path):
         # parent "directory" is a regular file, so writes fail even as root
