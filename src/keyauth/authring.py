@@ -76,25 +76,52 @@ class CompareResult(Enum):
     ABSENT = auto()
 
 
-def _make_crc32c_table() -> tuple[int, ...]:
-    table = []
-    for index in range(256):
-        crc = index
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
-        table.append(crc)
+_CRC32C_POLY = 0x11EDC6F41  # x^32 + ... + 1, Castagnoli, most significant bit first
+_BIT_REVERSED = bytes(int(f"{octet:08b}"[::-1], 2) for octet in range(256))
+
+
+def _mod_p(value: int) -> int:
+    """value mod P, one bit at a time; for values of a few dozen bits."""
+    for shift in range(value.bit_length() - 33, -1, -1):
+        if value >> (shift + 32) & 1:
+            value ^= _CRC32C_POLY << shift
+    return value
+
+
+def _fold_shifts() -> tuple[tuple[int, ...], ...]:
+    """Entry j lists the set bits of x^(2^j) mod P, for j < 64. Squaring
+    over GF(2) doubles every exponent: (sum of x^i)^2 = sum of x^(2i)."""
+    table, power = [], 0b10  # x^(2^0)
+    for _ in range(64):
+        bits = tuple(bit for bit in range(32) if power >> bit & 1)
+        table.append(bits)
+        power = _mod_p(sum(1 << 2 * bit for bit in bits))
     return tuple(table)
 
 
-_CRC32C_TABLE = _make_crc32c_table()
+_FOLD_SHIFTS = _fold_shifts()
 
 
 def crc32c(data: bytes) -> int:
-    """CRC-32C (Castagnoli), table-driven, reflected."""
-    crc = 0xFFFFFFFF
-    for octet in data:
-        crc = (crc >> 8) ^ _CRC32C_TABLE[(crc ^ octet) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    """CRC-32C (Castagnoli), reflected, as one polynomial remainder.
+
+    With each octet's bits reversed, the n-bit message M reads as one
+    integer, and the register is (M*x^32 + 0xFFFFFFFF*x^n) mod P: the
+    initial all-ones register is the x^n term. The remainder is taken by
+    folding: the part above x^(2^j) is multiplied by x^(2^j) mod P, a few
+    shifts and XORs, until at most 64 bits remain, then bit by bit.
+    """
+    value = (
+        int.from_bytes(data.translate(_BIT_REVERSED), "big") << 32
+        ^ 0xFFFFFFFF << 8 * len(data)
+    )
+    while (length := value.bit_length()) > 64:
+        j = (length - 1).bit_length() - 1
+        high, value = value >> (1 << j), value & ((1 << (1 << j)) - 1)
+        for shift in _FOLD_SHIFTS[j]:
+            value ^= high << shift
+    register = _mod_p(value).to_bytes(4, "little").translate(_BIT_REVERSED)
+    return int.from_bytes(register, "big") ^ 0xFFFFFFFF
 
 
 def checked_handle(handle) -> str:

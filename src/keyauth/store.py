@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,41 @@ _FIXED_OCTETS = {
     KeyType.CHAT_X25519.key_attribute: EC_KEY_OCTETS,
     **dict.fromkeys(SIGNATURE_ATTRIBUTES, SIGNATURE_OCTETS),
 }
+_RSA_ATTRIBUTE = KeyType.SHARING_RSA.key_attribute
+_RSA_KEYS = frozenset(("n", "e"))  # the modulus and exponent of an rsa_pub value
+
+# Canonical base64 (RFC 4648 section 3.5), keyed by octet count mod 3: the
+# last character before "==" or "=" carries 4 or 2 zero pad bits.
+_B64 = "[A-Za-z0-9+/]"
+_B64_LAST = {0: _B64, 1: "[AQgw]==", 2: "[AEIMQUYcgkosw048]="}
+
+
+def _b64_chars(octets: int) -> int:
+    return 4 * -(-octets // 3)
+
+
+def _b64_lines(lasts, lead: str = "") -> re.Pattern:
+    """A pattern for values joined by newlines, one value a line, each of
+    alphabet characters ending in one of ``lasts``."""
+    line = f"{lead}{_B64}*(?:{'|'.join(lasts)})"
+    return re.compile(f"(?:{line}\n)*{line}")
+
+
+# column -> (pattern its joined values must match, lengths a value may have);
+# the pattern checks the characters, the lengths check the size
+_COLUMNS = {
+    attribute: (
+        _b64_lines([_B64_LAST[octets % 3]]),
+        range(_b64_chars(octets), _b64_chars(octets) + 1),
+    )
+    for attribute, octets in _FIXED_OCTETS.items()
+}
+# an RSA component is minimal (no leading zero octet, so no line starts
+# with "A" then A-P) and framed with a 2-octet length, so 1 to 0xFFFF octets
+_COLUMNS[f"{_RSA_ATTRIBUTE}.n"] = _COLUMNS[f"{_RSA_ATTRIBUTE}.e"] = (
+    _b64_lines(_B64_LAST.values(), lead="(?!A[A-P])"),
+    range(4, _b64_chars(0xFFFF) + 1, 4),
+)
 
 
 def _validate_attribute_octets(attribute: str, octets: bytes) -> None:
@@ -51,7 +87,7 @@ def _validate_attribute_octets(attribute: str, octets: bytes) -> None:
     expected = _FIXED_OCTETS.get(attribute)
     if expected is not None:
         _check_length(attribute, octets, expected)
-    elif attribute == KeyType.SHARING_RSA.key_attribute:
+    elif attribute == _RSA_ATTRIBUTE:
         try:
             unframe_rsa_public(octets)
         except MalformedKeyError as exc:
@@ -124,7 +160,8 @@ class AttributeStore:
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path is not None else None
-        self._users: dict[str, dict[str, bytes]] = {}
+        # the JSON value save() writes for each attribute, decoded at fetch
+        self._users: dict[str, dict[str, str | dict[str, str]]] = {}
         self._counts: Counter[tuple[str, str]] = Counter()
         self._adversary: AdversaryConfig | None = None
         if self._path is not None and self._path.exists():
@@ -133,34 +170,39 @@ class AttributeStore:
     # -- persistence ---------------------------------------------------
 
     def _load(self) -> None:
-        # ValueError covers bad UTF-8, JSON, base64 and RSA framing, and bad handles
+        """Read the file, validating every value one attribute column at
+        a time: each must be what ``save`` writes for a value ``publish``
+        accepts."""
+        # ValueError covers bad UTF-8 and JSON, and bad handles and values
         try:
-            document = json.loads(self._path.read_text(encoding="utf-8"))
-            self._users = {
-                checked_handle(handle): {
-                    attribute: _decode_attribute(attribute, value)
-                    for attribute, value in attributes.items()
-                }
-                for handle, attributes in document["users"].items()
-            }
+            users = json.loads(self._path.read_text(encoding="utf-8"))["users"]
+            columns = {attribute: [] for attribute in VALID_ATTRIBUTES}
+            for handle, attributes in users.items():
+                checked_handle(handle)
+                for attribute, value in attributes.items():
+                    if attribute not in columns:
+                        raise PublishError(f"unknown attribute {attribute!r}")
+                    columns[attribute].append(value)
+            rsa = columns.pop(_RSA_ATTRIBUTE)
+            # save() writes exactly n and e; the next save would lose anything more
+            if not all(isinstance(v, dict) and v.keys() == _RSA_KEYS for v in rsa):
+                raise TypeError(
+                    f"{_RSA_ATTRIBUTE} must be an object holding exactly n and e"
+                )
+            for part in ("n", "e"):
+                columns[f"{_RSA_ATTRIBUTE}.{part}"] = [value[part] for value in rsa]
+            for name, values in columns.items():
+                _check_column(name, values)
         except (
             OSError, ValueError, KeyError, TypeError, AttributeError, PublishError
         ) as exc:
             raise StoreUnavailableError(f"cannot load store {self._path}: {exc}") from exc
+        self._users = users
 
     def save(self) -> None:
         if self._path is None:
             return
-        document = {
-            "users": {
-                handle: {
-                    attribute: _encode_attribute(attribute, octets)
-                    for attribute, octets in attributes.items()
-                }
-                for handle, attributes in self._users.items()
-            }
-        }
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"users": self._users}, indent=2, sort_keys=True) + "\n"
         try:
             self._path.write_text(text, encoding="utf-8")
         except OSError as exc:
@@ -172,7 +214,8 @@ class AttributeStore:
         """Set an attribute in memory, not in the file; last writer wins."""
         checked_handle(handle)
         _validate_attribute_octets(attribute, octets)
-        self._users.setdefault(handle, {})[attribute] = octets
+        value = _encode_attribute(attribute, octets)
+        self._users.setdefault(handle, {})[attribute] = value
 
     def fetch(self, handle: str, attribute: str) -> bytes | None:
         """Read an attribute as seen over the wire; absent values are None.
@@ -192,7 +235,8 @@ class AttributeStore:
             if adversary.mode == ADVERSARY_SUBSTITUTE_KEY:
                 return adversary.replacement
             return None
-        return self._users.get(handle, {}).get(attribute)
+        value = self._users.get(handle, {}).get(attribute)
+        return None if value is None else _decode_attribute(attribute, value)
 
     # -- adversary and accounting ----------------------------------------
 
@@ -208,8 +252,8 @@ class AttributeStore:
         self._counts.clear()
 
 
-def _encode_attribute(attribute: str, octets: bytes):
-    if attribute == KeyType.SHARING_RSA.key_attribute:
+def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:
+    if attribute == _RSA_ATTRIBUTE:
         modulus, exponent = unframe_rsa_public(octets)
         return {
             "n": base64.b64encode(modulus).decode("ascii"),
@@ -218,22 +262,28 @@ def _encode_attribute(attribute: str, octets: bytes):
     return base64.b64encode(octets).decode("ascii")
 
 
-def _decode_attribute(attribute: str, value) -> bytes:
-    """The octets a stored value stands for, validated as ``publish`` would."""
-    expected = _FIXED_OCTETS.get(attribute)
-    if expected is not None:
-        if not isinstance(value, str):
-            raise TypeError(f"{attribute} must be a base64 string")
-        octets = base64.b64decode(value, validate=True)
-        _check_length(attribute, octets, expected)
-        return octets
-    if attribute != KeyType.SHARING_RSA.key_attribute:
-        raise PublishError(f"unknown attribute {attribute!r}")
-    # save() writes exactly n and e; anything more would be lost by the next save
-    if not isinstance(value, dict) or value.keys() != {"n", "e"}:
-        raise TypeError(f"{attribute} must be an object holding exactly n and e")
-    # framing rejects the non-minimal components that publish rejects
-    return frame_rsa_public(
-        base64.b64decode(value["n"], validate=True),
-        base64.b64decode(value["e"], validate=True),
-    )
+def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:
+    """Inverse of :func:`_encode_attribute` for a value already validated."""
+    if attribute == _RSA_ATTRIBUTE:
+        return frame_rsa_public(
+            base64.b64decode(value["n"]), base64.b64decode(value["e"])
+        )
+    return base64.b64decode(value)
+
+
+def _check_column(name: str, values: list) -> None:
+    """Raise ValueError unless every value of column ``name`` is the
+    canonical base64 that ``save`` writes for a value ``publish`` accepts."""
+    if not values:
+        return
+    pattern, lengths = _COLUMNS[name]
+    joined = "\n".join(values)  # TypeError if a value is not a string
+    # a value holding a newline would pass the pattern as two values
+    if (
+        joined.count("\n") != len(values) - 1
+        or not all(length in lengths for length in set(map(len, values)))
+        or pattern.fullmatch(joined) is None
+    ):
+        raise ValueError(
+            f"{name} holds a value that is not canonical base64 of a valid size"
+        )

@@ -7,6 +7,8 @@ plus the published check value for "123456789".
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,13 @@ from oracles import build_ring_bytes, crc32c_bitwise
 EMPTY_CHAT_RING_HEX = "4d4b4152010100000000b2da710a"
 
 CRC32C_CHECK_VALUE = 0xE3069283  # published check value for b"123456789"
+
+# every length to 80 octets, where the bitwise tail meets the first folds;
+# each side of every power of two to 2^17 octets, where the fold width
+# steps; and 59,414 octets, the chat ring of the benchmark's 2k-user store
+CRC32C_LENGTHS = sorted(
+    {*range(81), *(2**k + d for k in range(18) for d in (-1, 0, 1)), 59_414}
+)
 
 
 def fp(seed: int) -> Fingerprint:
@@ -74,7 +83,12 @@ class TestCrc32c:
         assert crc32c(b"") == 0
 
     @given(st.binary(max_size=400))
-    def test_table_matches_bitwise(self, data):
+    def test_matches_bitwise(self, data):
+        assert crc32c(data) == crc32c_bitwise(data)
+
+    @pytest.mark.parametrize("length", CRC32C_LENGTHS)
+    def test_length_matches_bitwise(self, length):
+        data = random.Random(length).randbytes(length)
         assert crc32c(data) == crc32c_bitwise(data)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import json
 import secrets
+import string
 import tempfile
 from pathlib import Path
 
@@ -21,11 +22,19 @@ from keyauth import (
     generate_chat_keypair,
     generate_identity_keypair,
 )
+from keyauth.keys import frame_rsa_public
 from keyauth.store import (
     ADVERSARY_STRIP_SIGNATURE,
     ADVERSARY_SUBSTITUTE_KEY,
     VALID_ATTRIBUTES,
 )
+
+
+_B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def _b64(octets: bytes) -> str:
+    return base64.b64encode(octets).decode("ascii")
 
 
 @pytest.fixture
@@ -187,12 +196,16 @@ class TestPersistence:
     def test_round_trip(self, store, rsa_pair, tmp_path):
         publish_full_user(store, "bob", rsa_pair)
         publish_full_user(store, "carol", rsa_pair)
+        written = (tmp_path / "store.json").read_bytes()
         reloaded = AttributeStore(tmp_path / "store.json")
         for handle in ("bob", "carol"):
             for attribute in VALID_ATTRIBUTES:
-                assert reloaded.fetch(handle, attribute) == store._users[handle].get(
-                    attribute
-                )
+                octets = store.fetch(handle, attribute)
+                assert octets is not None
+                assert reloaded.fetch(handle, attribute) == octets
+        assert reloaded.fetch("dave", "ed25519_pub") is None
+        reloaded.save()
+        assert (tmp_path / "store.json").read_bytes() == written
 
     def test_file_layout(self, store, rsa_pair, tmp_path):
         publish_full_user(store, "bob", rsa_pair)
@@ -215,6 +228,7 @@ class TestPersistence:
 
     def test_publish_writes_nothing_until_save(self, store, rsa_pair, tmp_path):
         path = tmp_path / "store.json"
+        published = {}
         for handle in ("bob", "carol"):
             for attribute, octets in (
                 ("ed25519_pub", generate_identity_keypair().public),
@@ -224,10 +238,17 @@ class TestPersistence:
                 ("sig_rsa", secrets.token_bytes(64)),
             ):
                 store.publish(handle, attribute, octets)
+                published[handle, attribute] = octets
         assert not path.exists()
         store.save()
+        written = path.read_bytes()
         reloaded = AttributeStore(path)
-        assert reloaded._users == store._users
+        for (handle, attribute), octets in published.items():
+            assert store.fetch(handle, attribute) == octets
+            assert reloaded.fetch(handle, attribute) == octets
+        assert reloaded.fetch("dave", "ed25519_pub") is None
+        reloaded.save()
+        assert path.read_bytes() == written
 
     def test_memory_only_store(self):
         store = AttributeStore()
@@ -250,8 +271,20 @@ class TestPersistence:
         path = tmp_path / "store.json"
         n = base64.b64encode(rsa_pair.modulus_n).decode("ascii")
         padded_n = base64.b64encode(b"\x00" + rsa_pair.modulus_n).decode("ascii")
+        # a 256-octet modulus ends "?X==" with X in AQgw: the next letter
+        # sets a pad bit, so the value decodes to the same octets
+        loose_n = n[:-3] + _B64_ALPHABET[_B64_ALPHABET.index(n[-3]) + 1] + "=="
+        largest = bytes([1]) + bytes(0xFFFE)  # the most a 2-octet length frames
         for attributes in (
             {"ed25519_pub": "QUJD"},
+            # 32 octets whose last character sets a pad bit
+            {"ed25519_pub": "A" * 42 + "B="},
+            {"rsa_pub": {"n": loose_n, "e": "AQAB"}},
+            # two canonical values on two lines are not one value
+            {"rsa_pub": {"n": n + "\nAQA", "e": "AQAB"}},
+            {"rsa_pub": {"n": n + "\nAQAB", "e": "AQAB"}},
+            # publish refuses a component it cannot frame
+            {"rsa_pub": {"n": _b64(largest + bytes(1)), "e": "AQAB"}},
             # RSA components with a leading zero octet are not minimal
             {"rsa_pub": {"n": padded_n, "e": "AQAB"}},
             {"rsa_pub": {"n": n, "e": "AAEAAQ=="}},
@@ -264,6 +297,11 @@ class TestPersistence:
             path.write_text(json.dumps({"users": {"bob": attributes}}))
             with pytest.raises(StoreUnavailableError):
                 AttributeStore(path)
+        rsa_pub = {"n": _b64(largest), "e": "AQAB"}
+        path.write_text(json.dumps({"users": {"bob": {"rsa_pub": rsa_pub}}}))
+        assert AttributeStore(path).fetch("bob", "rsa_pub") == frame_rsa_public(
+            largest, b"\x01\x00\x01"
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -315,6 +353,71 @@ class TestPersistence:
             assert reopened.fetch("bob", attribute) == octets
             opened.save()  # the canonical file of the same state
             assert written.read_bytes() == published.read_bytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        column=st.sampled_from(["ed25519_pub", "sig_rsa", "rsa_pub.n"]),
+        octets=st.binary(min_size=1, max_size=300),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["substitute", "insert", "delete"]),
+                st.integers(min_value=0),
+                st.sampled_from(_B64_ALPHABET + "=\né"),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_open_accepts_exactly_canonical_base64(self, column, octets, edits):
+        """A value edited from canonical base64 opens exactly when, on its
+        own, it decodes strictly to an acceptable size and minimal form and
+        encodes back to itself. It sits between two valid values of its
+        column, so an edit that splits it into two lines shows."""
+        attribute = column.partition(".")[0]
+        if attribute == "rsa_pub":
+            sizes, minimal = range(1, 0x10000), True
+        else:
+            size = {"ed25519_pub": 32, "sig_rsa": 64}[attribute]
+            octets = (octets * size)[:size]
+            sizes, minimal = range(size, size + 1), False
+        value = _b64(octets)
+        for kind, position, char in edits:
+            at = position % (len(value) + 1)
+            if kind == "insert":
+                value = value[:at] + char + value[at:]
+            elif value:
+                at = min(at, len(value) - 1)
+                replacement = char if kind == "substitute" else ""
+                value = value[:at] + replacement + value[at + 1 :]
+
+        try:
+            decoded = base64.b64decode(value, validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII character
+            expected = False
+        else:
+            expected = (
+                len(decoded) in sizes
+                and not (minimal and decoded[0] == 0)
+                and _b64(decoded) == value
+            )
+
+        valid = _b64(bytes([1]) * len(octets))
+        users = {}
+        for handle, text in (("a", valid), ("b", value), ("c", valid)):
+            users[handle] = {
+                attribute: {"n": text, "e": "AQAB"} if attribute == "rsa_pub" else text
+            }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "store.json")
+            path.write_text(json.dumps({"users": users}))
+            try:
+                opened = AttributeStore(path)
+            except StoreUnavailableError:
+                assert not expected, value
+                return
+        assert expected, value
+        if attribute == "rsa_pub":
+            decoded = frame_rsa_public(decoded, b"\x01\x00\x01")
+        assert opened.fetch("b", attribute) == decoded
 
     def test_empty_handle_in_file_raises(self, tmp_path):
         # publish refuses an empty handle, so the loader must too
