@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .authring import checked_handle
-from .errors import MalformedKeyError, ParameterError, PublishError, StoreUnavailableError
+from .errors import ParameterError, PublishError, StoreUnavailableError
 from .keys import (
     EC_KEY_OCTETS,
     SIGNATURE_OCTETS,
@@ -61,7 +61,8 @@ def _b64_lines(lasts, lead: str = "") -> re.Pattern:
     """A pattern for values joined by newlines, one value a line, each of
     alphabet characters ending in one of ``lasts``."""
     line = f"{lead}{_B64}*(?:{'|'.join(lasts)})"
-    return re.compile(f"(?:{line}\n)*{line}")
+    # line first: a lone value, as publish checks, matches without backtracking
+    return re.compile(f"{line}(?:\n{line})*")
 
 
 # column -> (pattern its joined values must match, lengths a value may have);
@@ -81,26 +82,6 @@ _COLUMNS[f"{_RSA_ATTRIBUTE}.n"] = _COLUMNS[f"{_RSA_ATTRIBUTE}.e"] = (
 )
 
 
-def _validate_attribute_octets(attribute: str, octets: bytes) -> None:
-    if not isinstance(octets, bytes):
-        raise PublishError(f"{attribute} value must be bytes")
-    expected = _FIXED_OCTETS.get(attribute)
-    if expected is not None:
-        _check_length(attribute, octets, expected)
-    elif attribute == _RSA_ATTRIBUTE:
-        try:
-            unframe_rsa_public(octets)
-        except MalformedKeyError as exc:
-            raise PublishError(f"{attribute} is not a valid framed key: {exc}") from exc
-    else:
-        raise PublishError(f"unknown attribute {attribute!r}")
-
-
-def _check_length(attribute: str, octets: bytes, expected: int) -> None:
-    if len(octets) != expected:
-        raise PublishError(f"{attribute} must be {expected} octets, got {len(octets)}")
-
-
 @dataclass(frozen=True)
 class AdversaryConfig:
     """One active tampering rule applied at fetch time.
@@ -118,15 +99,9 @@ class AdversaryConfig:
     def __post_init__(self):
         if self.mode not in (ADVERSARY_SUBSTITUTE_KEY, ADVERSARY_STRIP_SIGNATURE):
             raise ParameterError(f"unknown adversary mode {self.mode!r}")
-        if self.target_attribute not in VALID_ATTRIBUTES:
-            raise ParameterError(
-                f"unknown adversary target attribute {self.target_attribute!r}"
-            )
         if self.mode == ADVERSARY_SUBSTITUTE_KEY:
-            if self.replacement is None:
-                raise ParameterError("substitute_key requires replacement octets")
             try:
-                _validate_attribute_octets(self.target_attribute, self.replacement)
+                _encode_attribute(self.target_attribute, self.replacement)
             except PublishError as exc:
                 raise ParameterError(f"invalid replacement: {exc}") from exc
         else:
@@ -175,7 +150,11 @@ class AttributeStore:
         accepts."""
         # ValueError covers bad UTF-8 and JSON, and bad handles and values
         try:
-            users = json.loads(self._path.read_text(encoding="utf-8"))["users"]
+            document = json.loads(self._path.read_text(encoding="utf-8"))
+            # save() writes only users; the next save would lose anything more
+            if document.keys() != {"users"}:
+                raise ValueError("the top-level object must hold only users")
+            users = document["users"]
             columns = {attribute: [] for attribute in VALID_ATTRIBUTES}
             for handle, attributes in users.items():
                 checked_handle(handle)
@@ -213,7 +192,6 @@ class AttributeStore:
     def publish(self, handle: str, attribute: str, octets: bytes) -> None:
         """Set an attribute in memory, not in the file; last writer wins."""
         checked_handle(handle)
-        _validate_attribute_octets(attribute, octets)
         value = _encode_attribute(attribute, octets)
         self._users.setdefault(handle, {})[attribute] = value
 
@@ -253,13 +231,27 @@ class AttributeStore:
 
 
 def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:
-    if attribute == _RSA_ATTRIBUTE:
-        modulus, exponent = unframe_rsa_public(octets)
-        return {
-            "n": base64.b64encode(modulus).decode("ascii"),
-            "e": base64.b64encode(exponent).decode("ascii"),
-        }
-    return base64.b64encode(octets).decode("ascii")
+    """The JSON value ``save`` writes for ``octets``, each of its cells
+    checked as open checks its column, so publish accepts exactly the values
+    a store file can hold."""
+    if not isinstance(octets, bytes):  # b64encode would take a bytearray
+        raise PublishError(f"{attribute} value must be bytes")
+    try:
+        if attribute == _RSA_ATTRIBUTE:
+            n, e = (
+                base64.b64encode(part).decode("ascii")
+                for part in unframe_rsa_public(octets)
+            )
+            _check_column(f"{attribute}.n", [n])
+            _check_column(f"{attribute}.e", [e])
+            return {"n": n, "e": e}
+        value = base64.b64encode(octets).decode("ascii")
+        _check_column(attribute, [value])
+        return value
+    except KeyError:
+        raise PublishError(f"unknown attribute {attribute!r}") from None
+    except ValueError as exc:  # a bad frame, or a cell of the wrong size
+        raise PublishError(f"{attribute} refuses {len(octets)} octets: {exc}") from exc
 
 
 def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:
@@ -272,8 +264,9 @@ def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:
 
 
 def _check_column(name: str, values: list) -> None:
-    """Raise ValueError unless every value of column ``name`` is the
-    canonical base64 that ``save`` writes for a value ``publish`` accepts."""
+    """Raise ValueError unless every value of column ``name`` is canonical
+    base64 of a size the column allows, and KeyError if ``values`` is not
+    empty and there is no column ``name``."""
     if not values:
         return
     pattern, lengths = _COLUMNS[name]

@@ -81,6 +81,10 @@ class TestPublishFetch:
             store.publish("bob", "rsa_pub", b"\x00\x05not-a-frame")
         with pytest.raises(PublishError):
             store.publish("bob", "tls_pub", bytes(32))
+        # base64 would encode a bytearray; publish takes only bytes
+        for value in (bytearray(32), "A" * 32, None):
+            with pytest.raises(PublishError):
+                store.publish("bob", "ed25519_pub", value)
 
     def test_fetch_validates_attribute_name(self, store):
         with pytest.raises(ParameterError):
@@ -297,6 +301,11 @@ class TestPersistence:
             path.write_text(json.dumps({"users": {"bob": attributes}}))
             with pytest.raises(StoreUnavailableError):
                 AttributeStore(path)
+        # save() writes only users, so the loader refuses any other key
+        key = {"ed25519_pub": _b64(bytes(32))}
+        path.write_text(json.dumps({"users": {"bob": key}, "version": 2}))
+        with pytest.raises(StoreUnavailableError):
+            AttributeStore(path)
         rsa_pub = {"n": _b64(largest), "e": "AQAB"}
         path.write_text(json.dumps({"users": {"bob": {"rsa_pub": rsa_pub}}}))
         assert AttributeStore(path).fetch("bob", "rsa_pub") == frame_rsa_public(
@@ -318,7 +327,8 @@ class TestPersistence:
         self, attribute, octets, exponent
     ):
         """``publish`` refuses a value exactly when a store file holding it
-        fails to open, and an accepted value survives save and open. An
+        fails to open, and an adversary may substitute exactly the values
+        publish accepts; an accepted value survives save and open. An
         rsa_pub value is the modulus ``octets`` with ``exponent``, framed
         for publish and stored as its two base64 components."""
 
@@ -342,10 +352,18 @@ class TestPersistence:
                 opened = None
             store = AttributeStore(published)
             try:
+                AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", attribute, octets)
+            except ParameterError:
+                substitutable = False
+            else:
+                substitutable = True
+            try:
                 store.publish("bob", attribute, octets)
             except PublishError:
+                assert not substitutable
                 assert opened is None
                 return
+            assert substitutable
             assert opened is not None
             assert opened.fetch("bob", attribute) == octets
             store.save()
@@ -366,12 +384,16 @@ class TestPersistence:
             ),
             max_size=3,
         ),
+        place=st.sampled_from(["alone", "first", "middle", "last"]),
     )
-    def test_open_accepts_exactly_canonical_base64(self, column, octets, edits):
+    def test_open_accepts_exactly_canonical_base64(
+        self, column, octets, edits, place
+    ):
         """A value edited from canonical base64 opens exactly when, on its
         own, it decodes strictly to an acceptable size and minimal form and
-        encodes back to itself. It sits between two valid values of its
-        column, so an edit that splits it into two lines shows."""
+        encodes back to itself. It stands alone in its column, which is
+        the check publish runs, or first, middle or last among valid values
+        of its column, so an edit that splits it into two lines shows."""
         attribute = column.partition(".")[0]
         if attribute == "rsa_pub":
             sizes, minimal = range(1, 0x10000), True
@@ -401,8 +423,14 @@ class TestPersistence:
             )
 
         valid = _b64(bytes([1]) * len(octets))
+        texts = {
+            "alone": {"b": value},
+            "first": {"b": value, "c": valid, "d": valid},
+            "middle": {"a": valid, "b": value, "c": valid},
+            "last": {"a": valid, "c": valid, "b": value},
+        }[place]
         users = {}
-        for handle, text in (("a", valid), ("b", value), ("c", valid)):
+        for handle, text in texts.items():
             users[handle] = {
                 attribute: {"n": text, "e": "AQAB"} if attribute == "rsa_pub" else text
             }
