@@ -234,6 +234,8 @@ def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:
     """The JSON value ``save`` writes for ``octets``, each of its cells
     checked as open checks its column, so publish accepts exactly the values
     a store file can hold."""
+    if attribute not in VALID_ATTRIBUTES:
+        raise PublishError(f"unknown attribute {attribute!r}")
     if not isinstance(octets, bytes):  # b64encode would take a bytearray
         raise PublishError(f"{attribute} value must be bytes")
     try:
@@ -248,10 +250,13 @@ def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:
         value = base64.b64encode(octets).decode("ascii")
         _check_column(attribute, [value])
         return value
-    except KeyError:
-        raise PublishError(f"unknown attribute {attribute!r}") from None
-    except ValueError as exc:  # a bad frame, or a cell of the wrong size
-        raise PublishError(f"{attribute} refuses {len(octets)} octets: {exc}") from exc
+    except ValueError as exc:
+        if attribute == _RSA_ATTRIBUTE:
+            raise PublishError(f"{attribute} is not a valid framed key: {exc}") from exc
+        # base64 of octets is canonical, so only the size can be wrong
+        raise PublishError(
+            f"{attribute} must be {_FIXED_OCTETS[attribute]} octets, got {len(octets)}"
+        ) from exc
 
 
 def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:
@@ -265,8 +270,7 @@ def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:
 
 def _check_column(name: str, values: list) -> None:
     """Raise ValueError unless every value of column ``name`` is canonical
-    base64 of a size the column allows, and KeyError if ``values`` is not
-    empty and there is no column ``name``."""
+    base64 of a size the column allows."""
     if not values:
         return
     pattern, lengths = _COLUMNS[name]

@@ -765,6 +765,8 @@ def _corrupt_store(document, shape):
         bob["ed25519_pub"] = "!!!"
     elif shape == "short-ed25519":
         bob["ed25519_pub"] = base64.b64encode(b"abc").decode("ascii")
+    elif shape == "pad-bits":
+        bob["ed25519_pub"] = bob["ed25519_pub"][:-2] + "B="
     elif shape == "non-minimal-e":
         bob["rsa_pub"]["e"] = base64.b64encode(b"\x00\x01\x00\x01").decode("ascii")
     elif shape == "unknown-attribute":
@@ -784,6 +786,7 @@ class TestCorruptStore:
             "not-json",
             "bad-base64",
             "short-ed25519",
+            "pad-bits",
             "non-minimal-e",
             "unknown-attribute",
             "empty-handle",

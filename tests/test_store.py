@@ -79,8 +79,10 @@ class TestPublishFetch:
             store.publish("bob", "sig_x25519", bytes(63))
         with pytest.raises(PublishError):
             store.publish("bob", "rsa_pub", b"\x00\x05not-a-frame")
-        with pytest.raises(PublishError):
-            store.publish("bob", "tls_pub", bytes(32))
+        # the store's internal column names are not attributes
+        for attribute in ("tls_pub", "rsa_pub.n", "rsa_pub.e"):
+            with pytest.raises(PublishError):
+                store.publish("bob", attribute, b"\x01" * 32)
         # base64 would encode a bytearray; publish takes only bytes
         for value in (bytearray(32), "A" * 32, None):
             with pytest.raises(PublishError):
@@ -185,8 +187,11 @@ class TestAdversary:
             AdversaryConfig(ADVERSARY_STRIP_SIGNATURE, "bob", "ed25519_pub")
         with pytest.raises(ParameterError):
             AdversaryConfig(ADVERSARY_STRIP_SIGNATURE, "bob", "sig_rsa", bytes(64))
+        for attribute in ("nonsense", "rsa_pub.n", "rsa_pub.e"):
+            with pytest.raises(ParameterError):
+                AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", attribute, b"\x01" * 32)
         with pytest.raises(ParameterError):
-            AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", "nonsense", bytes(32))
+            AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", "rsa_pub.e", b"\x01\x00\x01")
 
     def test_tampered_fetches_still_counted(self, store):
         store.set_adversary(
