@@ -17,7 +17,7 @@ import random
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import astuple
+from dataclasses import fields
 from pathlib import Path
 
 from .authring import AuthRecord, AuthRing, checked_handle
@@ -30,13 +30,7 @@ from .errors import (
     MissingKeyError,
     SignatureInvalidError,
 )
-from .keys import (
-    ChatKeyPair,
-    IdentityKeyPair,
-    KeyType,
-    SharingKeyPair,
-    fingerprint_ec,
-)
+from .keys import KeyType, fingerprint_ec
 from .scenarios import SCENARIO_NAMES, run_scenario_batch
 from .store import AttributeStore
 from .workflow import PUBLISH, OwnKeyMaterial, Session, init_own_keys
@@ -77,22 +71,14 @@ def group_fingerprint_hex(hex40: str) -> str:
 
 # -- identity directory -------------------------------------------------------
 #
-# <identity_dir>/<key type label>.sk    private key, one base64 line per field
+# <identity_dir>/<key type label>.sk    private key, one base64 line per init
+#                                       field of key_type.pair, in order
 # <identity_dir>/<key type label>.ring  serialised authentication ring
 #
 # Every file is read by _read and written by _write, which writes it at mode
 # 0600 and only when its bytes change. init writes the private key files and
 # creates the ring files that are absent; any other command writes only the
 # rings whose records it changed.
-
-# private key file layout: the file holds the first ``count`` fields of
-# astuple(pair), which are the arguments that ``build`` takes
-_PRIVATE_LAYOUT = {
-    KeyType.IDENTITY_ED25519: (1, IdentityKeyPair),
-    KeyType.CHAT_X25519: (1, ChatKeyPair),
-    KeyType.SHARING_RSA: (5, SharingKeyPair),
-}
-
 
 def _read(path: Path) -> bytes | None:
     """The file's bytes, or None when it is absent."""
@@ -119,21 +105,27 @@ def _write(path: Path, data: bytes) -> None:
         raise InitError(f"cannot write {path}: {exc}") from exc
 
 
+def _private_fields(key_type: KeyType) -> list[str]:
+    """The fields a private key file holds: the init fields of the pair."""
+    return [field.name for field in fields(key_type.pair) if field.init]
+
+
 def load_own_material(identity_dir: Path) -> OwnKeyMaterial:
     """Read whatever private keys exist; malformed files raise InitError."""
     pairs = {}
-    for key_type, (count, build) in _PRIVATE_LAYOUT.items():
+    for key_type in KeyType:
         path = identity_dir / f"{key_type.label}.sk"
         data = _read(path)
         if data is None:
             continue
         raw = data.split()
+        count = len(_private_fields(key_type))
         if len(raw) != count:
             raise InitError(
                 f"private key file {path} has {len(raw)} lines, expected {count}"
             )
         try:
-            pairs[key_type.alias] = build(
+            pairs[key_type.alias] = key_type.pair(
                 *(base64.b64decode(line, validate=True) for line in raw)
             )
         except (binascii.Error, KeyAuthError) as exc:
@@ -142,10 +134,10 @@ def load_own_material(identity_dir: Path) -> OwnKeyMaterial:
 
 
 def save_own_material(identity_dir: Path, material: OwnKeyMaterial) -> None:
-    for key_type, (count, _) in _PRIVATE_LAYOUT.items():
+    for key_type in KeyType:
         pair = getattr(material, key_type.alias)
         if pair is not None:
-            lines = astuple(pair)[:count]
+            lines = (getattr(pair, name) for name in _private_fields(key_type))
             _write(
                 identity_dir / f"{key_type.label}.sk",
                 b"".join(base64.b64encode(line) + b"\n" for line in lines),

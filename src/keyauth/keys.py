@@ -38,34 +38,6 @@ RSA_PUBLIC_EXPONENT = 65537
 SIGNED_PAYLOAD_PREFIX = b"MEGA_KEYAUTH_SIG"
 
 
-class KeyType(Enum):
-    """The three key types and every per-type fact the layers share.
-
-    Each member carries its wire ``tag`` octet (the enum value, so
-    ``KeyType(tag)`` looks it up), its ``label`` (file names and reports),
-    its short CLI ``alias``, the store attribute holding its public key
-    (``key_attribute``) and, for the two sub-keys, the one holding the
-    identity key's attestation (``signature_attribute``, else None).
-    """
-
-    IDENTITY_ED25519 = (0x00, "identity-ed25519", "identity", "ed25519_pub", None)
-    CHAT_X25519 = (0x01, "chat-x25519", "chat", "x25519_pub", "sig_x25519")
-    SHARING_RSA = (0x02, "sharing-rsa", "sharing", "rsa_pub", "sig_rsa")
-
-    def __new__(cls, tag, label, alias, key_attribute, signature_attribute):
-        member = object.__new__(cls)
-        member._value_ = member.tag = tag
-        member.label = label
-        member.alias = alias
-        member.key_attribute = key_attribute
-        member.signature_attribute = signature_attribute
-        return member
-
-
-# the key types the identity key attests, in report order
-SUB_KEY_TYPES = (KeyType.CHAT_X25519, KeyType.SHARING_RSA)
-
-
 @dataclass(frozen=True)
 class Fingerprint:
     """First 20 octets of SHA-256 over a key's public octets."""
@@ -153,8 +125,42 @@ class SharingKeyPair:
         ):
             _require_minimal(name, octets)
 
-    def public_frame(self) -> bytes:
+    @property
+    def public(self) -> bytes:
+        """The octets published and signed: (n, e), length-framed."""
         return frame_rsa_public(self.modulus_n, self.public_exponent_e)
+
+
+class KeyType(Enum):
+    """The three key types and every per-type fact the layers share.
+
+    Each member carries its wire ``tag`` octet (the enum value, so
+    ``KeyType(tag)`` looks it up), its ``label`` (file names and reports),
+    its short CLI ``alias``, the store attribute holding its public key
+    (``key_attribute``), for the two sub-keys the one holding the identity
+    key's attestation (``signature_attribute``, else None), and its key-pair
+    class (``pair``), whose ``public`` is the octets published and signed.
+    """
+
+    IDENTITY_ED25519 = (
+        0x00, "identity-ed25519", "identity", "ed25519_pub", None, IdentityKeyPair
+    )
+    CHAT_X25519 = (0x01, "chat-x25519", "chat", "x25519_pub", "sig_x25519", ChatKeyPair)
+    SHARING_RSA = (0x02, "sharing-rsa", "sharing", "rsa_pub", "sig_rsa", SharingKeyPair)
+
+    def __new__(cls, tag, label, alias, key_attribute, signature_attribute, pair):
+        member = object.__new__(cls)
+        member._value_ = member.tag = tag
+        member.label = label
+        member.alias = alias
+        member.key_attribute = key_attribute
+        member.signature_attribute = signature_attribute
+        member.pair = pair
+        return member
+
+
+# the key types the identity key attests, in report order
+SUB_KEY_TYPES = (KeyType.CHAT_X25519, KeyType.SHARING_RSA)
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def run_scenario(
     if strip:
         forged = None
     elif key_type is KeyType.SHARING_RSA:
-        forged = sharing_pair().public_frame()
+        forged = sharing_pair().public
     elif identity:
         forged = generate_identity_keypair().public
     else:

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .keys import (
     FINGERPRINT_OCTETS,
-    SIGNATURE_OCTETS,
     SUB_KEY_TYPES,
     ChatKeyPair,
     Fingerprint,
@@ -148,7 +147,7 @@ class Session:
             return LoadedKey(key_type, public, existing.method, False)
 
         signature = self.store.fetch(handle, key_type.signature_attribute)
-        if signature is not None and len(signature) == SIGNATURE_OCTETS:
+        if signature is not None:
             identity = self.load_identity_key(handle)
             if not verify_key_signature(
                 identity.public_octets, key_type, public, signature
@@ -248,37 +247,31 @@ def init_own_keys(
     material = existing if existing is not None else OwnKeyMaterial()
     report: list[RepairAction] = []
 
-    identity = material.identity
-    if identity is None:
-        identity = generate_identity_keypair()
-        report.append(RepairAction(GENERATE, KeyType.IDENTITY_ED25519.label))
-
-    chat = material.chat
-    if chat is None:
-        chat = generate_chat_keypair()
-        report.append(RepairAction(GENERATE, KeyType.CHAT_X25519.label))
-
-    sharing = material.sharing
-    if sharing is None or not check_keypair_consistency(sharing):
-        sharing = generate_sharing_keypair()
-        report.append(RepairAction(GENERATE, KeyType.SHARING_RSA.label))
+    # the generators are looked up at each call, so a rebound name sees every keygen
+    pairs = {}
+    for key_type, generate in (
+        (KeyType.IDENTITY_ED25519, generate_identity_keypair),
+        (KeyType.CHAT_X25519, generate_chat_keypair),
+        (KeyType.SHARING_RSA, generate_sharing_keypair),
+    ):
+        pair = getattr(material, key_type.alias)
+        if pair is None or not check_keypair_consistency(pair):
+            pair = generate()
+            report.append(RepairAction(GENERATE, key_type.label))
+        pairs[key_type.alias] = pair
+    identity = pairs[KeyType.IDENTITY_ED25519.alias]
 
     # enum order fixes the report order, so reports are exactly comparable
-    public_octets = {
-        KeyType.IDENTITY_ED25519: identity.public,
-        KeyType.CHAT_X25519: chat.public,
-        KeyType.SHARING_RSA: sharing.public_frame(),
-    }
     for key_type in KeyType:
         attribute = key_type.key_attribute
-        octets = public_octets[key_type]
+        octets = pairs[key_type.alias].public
         if store.fetch(own_handle, attribute) != octets:
             store.publish(own_handle, attribute, octets)
             report.append(RepairAction(PUBLISH, attribute))
 
     for key_type in SUB_KEY_TYPES:
         attribute = key_type.signature_attribute
-        octets = public_octets[key_type]
+        octets = pairs[key_type.alias].public
         current = store.fetch(own_handle, attribute)
         if current is None or not verify_key_signature(
             identity.public, key_type, octets, current
@@ -287,4 +280,4 @@ def init_own_keys(
             store.publish(own_handle, attribute, signature.sig)
             report.append(RepairAction(PUBLISH, attribute))
 
-    return OwnKeyMaterial(identity=identity, chat=chat, sharing=sharing), report
+    return OwnKeyMaterial(**pairs), report

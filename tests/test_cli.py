@@ -175,17 +175,25 @@ class TestInit:
         assert "--user" in err and "--store" not in err
 
     @pytest.mark.parametrize(
-        "content",
-        [b"!!!!\n", base64.b64encode(bytes(31)) + b"\n"],
-        ids=["bad-base64", "short-seed"],
+        "name, content, reason",
+        [
+            ("identity-ed25519.sk", b"!!!!\n", "is unreadable"),
+            ("identity-ed25519.sk", base64.b64encode(bytes(31)) + b"\n", "is unreadable"),
+            ("identity-ed25519.sk", b"AAAA\n" * 2, "has 2 lines, expected 1"),
+            ("sharing-rsa.sk", b"AAAA\n" * 4, "has 4 lines, expected 5"),
+        ],
+        ids=["bad-base64", "short-seed", "two-line-seed", "four-line-rsa"],
     )
-    def test_unreadable_private_key_names_the_file(self, env, capsys, content):
+    def test_unreadable_private_key_names_the_file(
+        self, env, capsys, name, content, reason
+    ):
         init_user(env, capsys, "alice")
-        key = env.home("alice") / "identity-ed25519.sk"
+        key = env.home("alice") / name
         key.write_bytes(content)
         code, _, err = env.run(*env.user_args("alice"), "init", capsys=capsys)
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(key) in err
+        assert reason in err
 
     def test_corrupt_private_file(self, env, capsys):
         init_user(env, capsys, "alice")

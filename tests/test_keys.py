@@ -478,7 +478,7 @@ class TestSignatures:
 
     def test_round_trip_sharing(self, rsa_pair):
         identity = generate_identity_keypair()
-        framed = rsa_pair.public_frame()
+        framed = rsa_pair.public
         signature = sign_public_key(identity, KeyType.SHARING_RSA, framed)
         assert verify_key_signature(
             identity.public, KeyType.SHARING_RSA, framed, signature
@@ -499,7 +499,7 @@ class TestSignatures:
 
     def test_wrong_type_tag_rejected(self, rsa_pair):
         identity = generate_identity_keypair()
-        framed = rsa_pair.public_frame()
+        framed = rsa_pair.public
         signature = sign_public_key(identity, KeyType.SHARING_RSA, framed)
         assert not verify_key_signature(
             identity.public, KeyType.CHAT_X25519, framed, signature.sig

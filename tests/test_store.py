@@ -47,7 +47,7 @@ def publish_full_user(store, handle, rsa_pair):
     chat = generate_chat_keypair()
     store.publish(handle, "ed25519_pub", identity.public)
     store.publish(handle, "x25519_pub", chat.public)
-    store.publish(handle, "rsa_pub", rsa_pair.public_frame())
+    store.publish(handle, "rsa_pub", rsa_pair.public)
     store.publish(handle, "sig_x25519", secrets.token_bytes(64))
     store.publish(handle, "sig_rsa", secrets.token_bytes(64))
     store.save()
@@ -108,7 +108,7 @@ class TestPublishFetch:
         assert (tmp_path / "store.json").read_bytes() == snapshot
 
     def test_rsa_pub_frame_round_trip(self, store, rsa_pair):
-        framed = rsa_pair.public_frame()
+        framed = rsa_pair.public
         store.publish("bob", "rsa_pub", framed)
         assert store.fetch("bob", "rsa_pub") == framed
 
@@ -242,7 +242,7 @@ class TestPersistence:
             for attribute, octets in (
                 ("ed25519_pub", generate_identity_keypair().public),
                 ("x25519_pub", generate_chat_keypair().public),
-                ("rsa_pub", rsa_pair.public_frame()),
+                ("rsa_pub", rsa_pair.public),
                 ("sig_x25519", secrets.token_bytes(64)),
                 ("sig_rsa", secrets.token_bytes(64)),
             ):

@@ -21,6 +21,7 @@ from keyauth import (
     IdentityKeyPair,
     KeyChangedWarningError,
     KeyType,
+    MalformedKeyError,
     MissingKeyError,
     MissingRecordError,
     OwnKeyMaterial,
@@ -147,7 +148,7 @@ class TestLoadSignedKey:
 
     def test_substituted_rsa_key_fails_signature(self, world, rsa_pair_alt):
         store, bob, alice = world
-        substitute(store, "bob", "rsa_pub", rsa_pair_alt.public_frame())
+        substitute(store, "bob", "rsa_pub", rsa_pair_alt.public)
         with pytest.raises(SignatureInvalidError):
             alice.load_signed_key("bob", KeyType.SHARING_RSA)
 
@@ -166,6 +167,23 @@ class TestLoadSignedKey:
         with pytest.raises(SignatureInvalidError):
             alice.load_signed_key("bob", KeyType.CHAT_X25519)
 
+    def test_signature_of_the_wrong_length_is_not_absent(self, rsa_pair):
+        # the store refuses such a value, so only a store that serves one
+        # can show it: a 63-octet signature must raise, not pin as unsigned
+        class ShortSignatureStore(AttributeStore):
+            def fetch(self, handle, attribute):
+                octets = super().fetch(handle, attribute)
+                if attribute == "sig_x25519" and octets is not None:
+                    return octets[:-1]
+                return octets
+
+        store = ShortSignatureStore()
+        init_own_keys(store, "bob", existing=OwnKeyMaterial(sharing=rsa_pair))
+        alice = Session(store, "alice")
+        with pytest.raises(MalformedKeyError):
+            alice.load_signed_key("bob", KeyType.CHAT_X25519)
+        assert alice.ring(KeyType.CHAT_X25519).get("bob") is None
+
 
 class TestUnsignedFallback:
     """Contacts whose clients never published signatures still work, at
@@ -178,7 +196,7 @@ class TestUnsignedFallback:
         chat = generate_chat_keypair()
         store.publish("bob", "ed25519_pub", identity.public)
         store.publish("bob", "x25519_pub", chat.public)
-        store.publish("bob", "rsa_pub", rsa_pair.public_frame())
+        store.publish("bob", "rsa_pub", rsa_pair.public)
         alice = Session(store, "alice")
         store.reset_stats()
         return store, identity, chat, alice
@@ -405,7 +423,7 @@ class TestInitOwnKeys:
         corrupt = {
             "ed25519_pub": lambda: generate_identity_keypair().public,
             "x25519_pub": lambda: generate_chat_keypair().public,
-            "rsa_pub": lambda: rsa_pair_alt.public_frame(),
+            "rsa_pub": lambda: rsa_pair_alt.public,
             "sig_x25519": lambda: secrets.token_bytes(64),
             "sig_rsa": lambda: secrets.token_bytes(64),
         }[attribute]()
@@ -432,6 +450,25 @@ class TestInitOwnKeys:
             RepairAction(PUBLISH, "sig_rsa"),
         ]
         assert rebuilt.identity.public != material.identity.public
+
+    def test_inconsistent_sharing_pair_is_regenerated(self, rsa_pair):
+        store = AttributeStore()
+        material, _ = init_own_keys(
+            store, "alice", existing=OwnKeyMaterial(sharing=rsa_pair)
+        )
+        d = bytearray(rsa_pair.private_d)
+        d[-1] ^= 1
+        broken = dataclasses.replace(rsa_pair, private_d=bytes(d))
+        rebuilt, report = init_own_keys(
+            store, "alice", existing=dataclasses.replace(material, sharing=broken)
+        )
+        assert report == [
+            RepairAction(GENERATE, "sharing-rsa"),
+            RepairAction(PUBLISH, "rsa_pub"),
+            RepairAction(PUBLISH, "sig_rsa"),
+        ]
+        assert rebuilt.identity == material.identity
+        assert rebuilt.chat == material.chat
 
     def test_consistent_identity_never_touched(self, rsa_pair):
         store = AttributeStore()
