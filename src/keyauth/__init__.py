@@ -71,7 +71,6 @@ from .scenarios import (
     run_scenario_batch,
 )
 from .store import (
-    AdversaryConfig,
     AttributeStore,
     StoreStats,
 )

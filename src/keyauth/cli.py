@@ -183,9 +183,11 @@ def _session(args) -> Iterator[Session]:
     """A session over the store and the identity dir's rings. A ring file is
     parsed only when a decision first needs it, and on exit the rings whose
     records changed are saved, even when a load raised: an alarm can follow
-    a new identity pin. A ring parses only from its canonical bytes, and
-    equal records serialise to equal bytes, so a ring whose records did not
-    change would be written unchanged: it is not serialised at all."""
+    a new identity pin. A save that fails then is reported on stderr and the
+    load's error propagates, so a failed write never replaces an alarm. A
+    ring parses only from its canonical bytes, and equal records serialise
+    to equal bytes, so a ring whose records did not change would be written
+    unchanged: it is not serialised at all."""
     if not args.home.is_dir():
         raise InitError(f"no identity dir at {args.home}; run init first")
     store = AttributeStore(args.store)
@@ -197,10 +199,7 @@ def _session(args) -> Iterator[Session]:
         records_at_load[key_type] = ring.records()
         return ring
 
-    session = Session(store, args.user, load_ring)
-    try:
-        yield session
-    finally:
+    def save_changed_rings() -> None:
         save_rings(
             args.home,
             {
@@ -209,6 +208,17 @@ def _session(args) -> Iterator[Session]:
                 if ring.records() != records_at_load[key_type]
             },
         )
+
+    session = Session(store, args.user, load_ring)
+    try:
+        yield session
+    except BaseException:
+        try:
+            save_changed_rings()
+        except InitError as exc:
+            print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        raise
+    save_changed_rings()
 
 
 # -- commands -----------------------------------------------------------------

@@ -31,12 +31,7 @@ from .keys import (
     generate_identity_keypair,
     generate_sharing_keypair,
 )
-from .store import (
-    ADVERSARY_STRIP_SIGNATURE,
-    ADVERSARY_SUBSTITUTE_KEY,
-    AdversaryConfig,
-    AttributeStore,
-)
+from .store import AttributeStore
 from .workflow import OwnKeyMaterial, Session, init_own_keys
 
 # an alarm's outcome is its error code
@@ -50,36 +45,27 @@ OUTCOME_KEY_CHANGED = KeyChangedWarningError.code
 class _Scenario(NamedTuple):
     """One attack: the outcomes it may produce, the key it targets (None: a
     sub-key type drawn per run), whether the verifier loads that key
-    honestly before the adversary acts, and the adversary mode."""
+    honestly before the adversary acts, and whether the adversary strips the
+    key's signature rather than substituting the key."""
 
     expected: tuple[str, ...]
     target: KeyType | None
     honest_first_load: bool
-    mode: str
+    strip: bool
 
 
 _SCENARIOS = {
     "mitm-identity-pre": _Scenario(
-        (OUTCOME_NO_ALARM,), KeyType.IDENTITY_ED25519, False, ADVERSARY_SUBSTITUTE_KEY
+        (OUTCOME_NO_ALARM,), KeyType.IDENTITY_ED25519, False, False
     ),
     "mitm-identity-post": _Scenario(
-        (OUTCOME_FINGERPRINT_MISMATCH,),
-        KeyType.IDENTITY_ED25519,
-        True,
-        ADVERSARY_SUBSTITUTE_KEY,
+        (OUTCOME_FINGERPRINT_MISMATCH,), KeyType.IDENTITY_ED25519, True, False
     ),
-    "mitm-subkey-pre": _Scenario(
-        (OUTCOME_SIGNATURE_INVALID,), None, False, ADVERSARY_SUBSTITUTE_KEY
-    ),
+    "mitm-subkey-pre": _Scenario((OUTCOME_SIGNATURE_INVALID,), None, False, False),
     "mitm-subkey-post": _Scenario(
-        (OUTCOME_SIGNATURE_INVALID, OUTCOME_FINGERPRINT_MISMATCH),
-        None,
-        True,
-        ADVERSARY_SUBSTITUTE_KEY,
+        (OUTCOME_SIGNATURE_INVALID, OUTCOME_FINGERPRINT_MISMATCH), None, True, False
     ),
-    "strip-signature": _Scenario(
-        (OUTCOME_NO_ALARM,), None, True, ADVERSARY_STRIP_SIGNATURE
-    ),
+    "strip-signature": _Scenario((OUTCOME_NO_ALARM,), None, True, True),
 }
 
 SCENARIO_NAMES = tuple(_SCENARIOS)
@@ -156,7 +142,7 @@ def run_scenario(
     victim_keys, _ = init_own_keys(store, handle, existing=material)
     verifier = Session(store, new_handle("verifier"))
     honest_identity = victim_keys.identity.public
-    strip = scenario.mode == ADVERSARY_STRIP_SIGNATURE
+    strip = scenario.strip
     report = ScenarioReport(name, scenario.expected, observed="")
     key_type = scenario.target
     if key_type is None:
@@ -192,7 +178,7 @@ def run_scenario(
         forged = generate_identity_keypair().public
     else:
         forged = generate_chat_keypair().public
-    store.set_adversary(AdversaryConfig(scenario.mode, handle, attribute, forged))
+    store.set_adversary({(handle, attribute): forged})
     store.reset_stats()
     report.observed, value = _classify(load)
     record = ring.get(handle)

@@ -2,10 +2,10 @@
 
 Clients fetch public keys and signatures from an untrusted server; this
 store stands in for it. Stored truth stays intact on disk while an
-optional adversary configuration tampers with fetch results, so tests and
-scenarios can model a man-in-the-middle without corrupting the fixture.
-Every fetch is counted per (handle, attribute) to make round-trip costs
-observable.
+optional adversary, a table from (handle, attribute) to what a fetch
+returns, tampers with fetch results, so tests and scenarios can model a
+man-in-the-middle without corrupting the fixture. Every fetch is counted
+per (handle, attribute) to make round-trip costs observable.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .keys import (
 PUBLIC_KEY_ATTRIBUTES = tuple(key_type.key_attribute for key_type in KeyType)
 SIGNATURE_ATTRIBUTES = tuple(key_type.signature_attribute for key_type in SUB_KEY_TYPES)
 VALID_ATTRIBUTES = PUBLIC_KEY_ATTRIBUTES + SIGNATURE_ATTRIBUTES
-
-ADVERSARY_SUBSTITUTE_KEY = "substitute_key"
-ADVERSARY_STRIP_SIGNATURE = "strip_signature"
 
 
 # octets of each attribute with a fixed size; rsa_pub is the one known
@@ -83,37 +80,6 @@ _COLUMNS[f"{_RSA_ATTRIBUTE}.n"] = _COLUMNS[f"{_RSA_ATTRIBUTE}.e"] = (
 
 
 @dataclass(frozen=True)
-class AdversaryConfig:
-    """One active tampering rule applied at fetch time.
-
-    ``substitute_key`` replaces the fetched octets with ``replacement``;
-    ``strip_signature`` makes a signature attribute appear absent. The
-    stored truth is never modified.
-    """
-
-    mode: str
-    target_handle: str
-    target_attribute: str
-    replacement: bytes | None = None
-
-    def __post_init__(self):
-        if self.mode not in (ADVERSARY_SUBSTITUTE_KEY, ADVERSARY_STRIP_SIGNATURE):
-            raise ParameterError(f"unknown adversary mode {self.mode!r}")
-        if self.mode == ADVERSARY_SUBSTITUTE_KEY:
-            try:
-                _encode_attribute(self.target_attribute, self.replacement)
-            except PublishError as exc:
-                raise ParameterError(f"invalid replacement: {exc}") from exc
-        else:
-            if self.target_attribute not in SIGNATURE_ATTRIBUTES:
-                raise ParameterError(
-                    "strip_signature only applies to signature attributes"
-                )
-            if self.replacement is not None:
-                raise ParameterError("strip_signature takes no replacement")
-
-
-@dataclass(frozen=True)
 class StoreStats:
     """Snapshot of fetch counters."""
 
@@ -138,7 +104,7 @@ class AttributeStore:
         # the JSON value save() writes for each attribute, decoded at fetch
         self._users: dict[str, dict[str, str | dict[str, str]]] = {}
         self._counts: Counter[tuple[str, str]] = Counter()
-        self._adversary: AdversaryConfig | None = None
+        self._adversary: dict[tuple[str, str], bytes | None] = {}
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -198,30 +164,44 @@ class AttributeStore:
     def fetch(self, handle: str, attribute: str) -> bytes | None:
         """Read an attribute as seen over the wire; absent values are None.
 
-        The adversary configuration, if any, is applied here. Every call
-        is counted, including fetches of absent attributes.
+        An adversary rule for (handle, attribute), if any, answers in
+        place of the stored value. Every call is counted, including
+        fetches of absent attributes.
         """
         if attribute not in VALID_ATTRIBUTES:
             raise ParameterError(f"unknown attribute {attribute!r}")
-        self._counts[(handle, attribute)] += 1
-        adversary = self._adversary
-        if (
-            adversary is not None
-            and adversary.target_handle == handle
-            and adversary.target_attribute == attribute
-        ):
-            if adversary.mode == ADVERSARY_SUBSTITUTE_KEY:
-                return adversary.replacement
-            return None
+        key = (handle, attribute)
+        self._counts[key] += 1
+        if key in self._adversary:
+            return self._adversary[key]
         value = self._users.get(handle, {}).get(attribute)
         return None if value is None else _decode_attribute(attribute, value)
 
     # -- adversary and accounting ----------------------------------------
 
-    def set_adversary(self, config: AdversaryConfig | None) -> None:
-        if config is not None and not isinstance(config, AdversaryConfig):
-            raise ParameterError("config must be an AdversaryConfig or None")
-        self._adversary = config
+    def set_adversary(self, rules: Mapping[tuple[str, str], bytes | None]) -> None:
+        """Replace the adversary: a fetch of (handle, attribute) in ``rules``
+        returns its octets, a substituted value, or None, a signature that
+        appears absent. The stored truth is never modified; ``{}`` removes
+        the adversary."""
+        if not isinstance(rules, Mapping):
+            raise ParameterError("adversary rules must be a mapping")
+        for key, octets in rules.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise ParameterError(f"rule key {key!r} is not (handle, attribute)")
+            handle, attribute = key
+            checked_handle(handle)
+            if octets is None:
+                if attribute not in SIGNATURE_ATTRIBUTES:
+                    raise ParameterError(
+                        f"only a signature can appear absent, not {attribute!r}"
+                    )
+            else:
+                try:
+                    _encode_attribute(attribute, octets)
+                except PublishError as exc:
+                    raise ParameterError(f"invalid replacement: {exc}") from exc
+        self._adversary = dict(rules)
 
     def stats(self) -> StoreStats:
         return StoreStats(sum(self._counts.values()), dict(self._counts))

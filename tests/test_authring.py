@@ -170,6 +170,16 @@ class TestRingSemantics:
         ring.track("x" * 255, fp(1), AuthMethod.SEEN)
         assert len(ring) == 1
 
+    def test_argument_types_checked(self):
+        with pytest.raises(ParameterError):
+            AuthRing("chat")
+        ring = AuthRing(KeyType.IDENTITY_ED25519)
+        with pytest.raises(ParameterError):
+            ring.track("bob", fp(1), 1)
+        assert len(ring) == 0
+        with pytest.raises(ParameterError):
+            AuthRing.from_bytes(ring.to_bytes().decode("latin-1"))
+
     def test_multibyte_handle_length_counts_octets(self):
         ring = AuthRing(KeyType.IDENTITY_ED25519)
         handle = "é" * 128  # 256 octets in UTF-8

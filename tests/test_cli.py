@@ -875,6 +875,30 @@ class TestFileErrors:
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
 
+    def test_failed_ring_write_does_not_replace_an_alarm(
+        self, env, capsys, tmp_path
+    ):
+        """The identity pin made before the signature check fails to save;
+        the alarm keeps its exit code and line, and the write is reported."""
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        store = AttributeStore(env.store_path)
+        store.publish("bob", "x25519_pub", generate_chat_keypair().public)
+        store.save()
+        ring = env.home("alice") / "identity-ed25519.ring"
+        ring.unlink()
+        ring.symlink_to(tmp_path / "missing" / "identity.ring")
+        code, out, err = env.run(
+            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        )
+        assert code == EXIT_SIGNATURE_INVALID
+        assert out == ""
+        lines = err.splitlines()
+        assert any(line.startswith("error[signature-invalid]: ") for line in lines)
+        assert any(
+            line.startswith("error[init]: ") and str(ring) in line for line in lines
+        )
+
     def test_ring_of_another_key_type(self, env, capsys):
         init_user(env, capsys, "alice")
         home = env.home("alice")

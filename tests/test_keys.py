@@ -275,6 +275,20 @@ class TestSharingKeys:
                 prime_p=rsa_pair.prime_p,
                 prime_q=rsa_pair.prime_q,
             )
+        with pytest.raises(MalformedKeyError):
+            SharingKeyPair(
+                # 256 octets, but the top bit clear: 2047 bits
+                modulus_n=bytes([rsa_pair.modulus_n[0] & 0x7F])
+                + rsa_pair.modulus_n[1:],
+                public_exponent_e=rsa_pair.public_exponent_e,
+                private_d=rsa_pair.private_d,
+                prime_p=rsa_pair.prime_p,
+                prime_q=rsa_pair.prime_q,
+            )
+
+    def test_consistency_check_refuses_other_types(self):
+        with pytest.raises(ParameterError):
+            check_keypair_consistency(object())
 
 
 class TestSharingKeyConsistency:
@@ -425,6 +439,10 @@ class TestFraming:
             with pytest.raises(MalformedKeyError):
                 unframe_rsa_public(bad)
 
+    def test_component_beyond_two_length_octets_rejected(self):
+        with pytest.raises(MalformedKeyError):
+            frame_rsa_public(b"\x01" * 0x10000, b"\x01\x00\x01")
+
     @given(
         n=st.binary(min_size=1, max_size=40).filter(lambda b: b[0] != 0),
         e=st.binary(min_size=1, max_size=8).filter(lambda b: b[0] != 0),
@@ -447,6 +465,12 @@ class TestCanonicalPayload:
     def test_identity_type_rejected(self):
         with pytest.raises(ParameterError):
             canonical_payload(KeyType.IDENTITY_ED25519, bytes(32))
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ParameterError):
+            canonical_payload("chat", b"x")
+        with pytest.raises(MalformedKeyError):
+            canonical_payload(KeyType.CHAT_X25519, b"")
 
     def test_type_tag_separates_domains(self):
         octets = secrets.token_bytes(32)

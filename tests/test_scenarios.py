@@ -26,6 +26,7 @@ from keyauth.scenarios import (
     OUTCOME_NO_ALARM,
     OUTCOME_SIGNATURE_INVALID,
     SCENARIO_NAMES,
+    ScenarioReport,
     _classify,
     build_rsa_pool,
     run_scenario,
@@ -119,6 +120,18 @@ def test_classify_passes_other_errors_and_values():
     with pytest.raises(MissingKeyError):
         _classify(missing)
     assert _classify(lambda: 5) == (OUTCOME_NO_ALARM, 5)
+
+
+def test_failed_post_condition_fails_an_expected_outcome():
+    # the matrix counts a rep as matched only when report.ok holds
+    report = ScenarioReport(
+        "strip-signature", (OUTCOME_NO_ALARM,), observed=OUTCOME_NO_ALARM
+    )
+    report.check(True, "held")
+    assert report.ok
+    report.check(False, "broke")
+    assert not report.ok
+    assert report.notes == ["ok: held", "FAILED: broke"]
 
 
 def test_batch_rejects_zero_reps():

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyauth import (
-    AdversaryConfig,
     AttributeStore,
     ParameterError,
     PublishError,
@@ -23,11 +22,7 @@ from keyauth import (
     generate_identity_keypair,
 )
 from keyauth.keys import frame_rsa_public
-from keyauth.store import (
-    ADVERSARY_STRIP_SIGNATURE,
-    ADVERSARY_SUBSTITUTE_KEY,
-    VALID_ATTRIBUTES,
-)
+from keyauth.store import VALID_ATTRIBUTES
 
 
 _B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
@@ -142,27 +137,18 @@ class TestAdversary:
         publish_full_user(store, "bob", rsa_pair)
         honest = store.fetch("bob", "ed25519_pub")
         replacement = generate_identity_keypair().public
-        store.set_adversary(
-            AdversaryConfig(
-                ADVERSARY_SUBSTITUTE_KEY, "bob", "ed25519_pub", replacement
-            )
-        )
+        store.set_adversary({("bob", "ed25519_pub"): replacement})
         assert store.fetch("bob", "ed25519_pub") == replacement
         # untargeted attributes and users are untouched
         assert store.fetch("bob", "x25519_pub") is not None
-        store.set_adversary(None)
+        store.set_adversary({})
         assert store.fetch("bob", "ed25519_pub") == honest
 
     def test_stored_truth_survives_substitution(self, store, rsa_pair, tmp_path):
         publish_full_user(store, "bob", rsa_pair)
         honest = store.fetch("bob", "ed25519_pub")
         store.set_adversary(
-            AdversaryConfig(
-                ADVERSARY_SUBSTITUTE_KEY,
-                "bob",
-                "ed25519_pub",
-                generate_identity_keypair().public,
-            )
+            {("bob", "ed25519_pub"): generate_identity_keypair().public}
         )
         store.fetch("bob", "ed25519_pub")
         reloaded = AttributeStore(tmp_path / "store.json")
@@ -170,33 +156,65 @@ class TestAdversary:
 
     def test_strip_signature(self, store, rsa_pair):
         publish_full_user(store, "bob", rsa_pair)
-        store.set_adversary(
-            AdversaryConfig(ADVERSARY_STRIP_SIGNATURE, "bob", "sig_x25519")
-        )
+        store.set_adversary({("bob", "sig_x25519"): None})
         assert store.fetch("bob", "sig_x25519") is None
         assert store.fetch("bob", "sig_rsa") is not None
 
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            AdversaryConfig("corrupt_key", "bob", "ed25519_pub", bytes(32))
-        with pytest.raises(ParameterError):
-            AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", "ed25519_pub")
-        with pytest.raises(ParameterError):
-            AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", "ed25519_pub", bytes(31))
-        with pytest.raises(ParameterError):
-            AdversaryConfig(ADVERSARY_STRIP_SIGNATURE, "bob", "ed25519_pub")
-        with pytest.raises(ParameterError):
-            AdversaryConfig(ADVERSARY_STRIP_SIGNATURE, "bob", "sig_rsa", bytes(64))
+    def test_several_rules_apply_together(self, store, rsa_pair):
+        publish_full_user(store, "bob", rsa_pair)
+        publish_full_user(store, "carol", rsa_pair)
+        honest = {
+            (handle, attribute): store.fetch(handle, attribute)
+            for handle in ("bob", "carol")
+            for attribute in VALID_ATTRIBUTES
+        }
+        rules = {
+            ("bob", "x25519_pub"): generate_chat_keypair().public,
+            ("bob", "sig_x25519"): None,
+        }
+        expected = {**honest, **rules}
+        store.set_adversary(rules)
+        rules[("carol", "sig_rsa")] = None  # the store keeps its own copy
+        for (handle, attribute), octets in expected.items():
+            assert store.fetch(handle, attribute) == octets
+
+    def test_rule_validation(self, store, rsa_pair):
+        publish_full_user(store, "bob", rsa_pair)
+        honest = store.fetch("bob", "ed25519_pub")
+        store.set_adversary({("bob", "sig_rsa"): None})
+        refused = [
+            None,
+            [(("bob", "ed25519_pub"), bytes(32))],
+            {("bob", "ed25519_pub"): None},  # only a signature can be absent
+            {("bob", "x25519_pub"): None},
+            {("bob", "rsa_pub"): None},
+            {("bob", "ed25519_pub"): bytes(31)},
+            {("bob", "ed25519_pub"): bytearray(32)},
+            {("bob", "rsa_pub.e"): b"\x01\x00\x01"},
+            {"bob": bytes(32)},
+            {("bob",): bytes(32)},
+            {("bob", "ed25519_pub", "x"): bytes(32)},
+            {("", "ed25519_pub"): bytes(32)},
+            {(7, "ed25519_pub"): bytes(32)},
+            # one bad rule refuses the whole table
+            {("bob", "sig_x25519"): None, ("bob", "sig_rsa"): bytes(63)},
+        ]
         for attribute in ("nonsense", "rsa_pub.n", "rsa_pub.e"):
+            refused.append({("bob", attribute): b"\x01" * 32})
+            refused.append({("bob", attribute): None})
+        for rules in refused:
             with pytest.raises(ParameterError):
-                AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", attribute, b"\x01" * 32)
-        with pytest.raises(ParameterError):
-            AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", "rsa_pub.e", b"\x01\x00\x01")
+                store.set_adversary(rules)
+        # a refused table leaves the previous adversary in place
+        assert store.fetch("bob", "sig_rsa") is None
+        assert store.fetch("bob", "sig_x25519") is not None
+        assert store.fetch("bob", "ed25519_pub") == honest
+        # a signature may also be substituted, with octets of the right size
+        store.set_adversary({("bob", "sig_rsa"): bytes(64)})
+        assert store.fetch("bob", "sig_rsa") == bytes(64)
 
     def test_tampered_fetches_still_counted(self, store):
-        store.set_adversary(
-            AdversaryConfig(ADVERSARY_STRIP_SIGNATURE, "bob", "sig_rsa")
-        )
+        store.set_adversary({("bob", "sig_rsa"): None})
         store.fetch("bob", "sig_rsa")
         assert store.stats().count("bob", "sig_rsa") == 1
 
@@ -357,7 +375,7 @@ class TestPersistence:
                 opened = None
             store = AttributeStore(published)
             try:
-                AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, "bob", attribute, octets)
+                AttributeStore().set_adversary({("bob", attribute): octets})
             except ParameterError:
                 substitutable = False
             else:

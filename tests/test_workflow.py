@@ -13,7 +13,6 @@ import secrets
 import pytest
 
 from keyauth import (
-    AdversaryConfig,
     AttributeStore,
     AuthMethod,
     ComparisonFailedError,
@@ -37,7 +36,6 @@ from keyauth import (
     unframe_rsa_public,
     SignatureInvalidError,
 )
-from keyauth.store import ADVERSARY_SUBSTITUTE_KEY
 from keyauth.workflow import GENERATE, PUBLISH
 
 
@@ -52,9 +50,7 @@ def world(rsa_pair):
 
 
 def substitute(store, handle, attribute, replacement):
-    store.set_adversary(
-        AdversaryConfig(ADVERSARY_SUBSTITUTE_KEY, handle, attribute, replacement)
-    )
+    store.set_adversary({(handle, attribute): replacement})
 
 
 class TestLoadIdentityKey:
@@ -160,6 +156,35 @@ class TestLoadSignedKey:
         with pytest.raises(SignatureInvalidError):
             alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert alice.ring(KeyType.CHAT_X25519).get("bob") == honest
+
+    @pytest.mark.parametrize("key_type", [KeyType.CHAT_X25519, KeyType.SHARING_RSA])
+    def test_substitution_with_stripped_signature_at_first_contact(
+        self, world, rsa_pair_alt, key_type
+    ):
+        """The second first-contact blind spot: a forged sub-key served
+        without its signature takes the unsigned fallback, so it is pinned
+        at seen with no alarm and the identity key is never fetched; only
+        a later honest load exposes it."""
+        store, bob, alice = world
+        if key_type is KeyType.SHARING_RSA:
+            forged = rsa_pair_alt.public
+        else:
+            forged = generate_chat_keypair().public
+        store.set_adversary(
+            {
+                ("bob", key_type.key_attribute): forged,
+                ("bob", key_type.signature_attribute): None,
+            }
+        )
+        loaded = alice.load_signed_key("bob", key_type)
+        assert loaded.public_octets == forged
+        assert loaded.method is AuthMethod.SEEN
+        assert alice.ring(key_type).get("bob").method is AuthMethod.SEEN
+        assert store.stats().count("bob", "ed25519_pub") == 0
+        assert alice.ring(KeyType.IDENTITY_ED25519).get("bob") is None
+        store.set_adversary({})
+        with pytest.raises(KeyChangedWarningError):
+            alice.load_signed_key("bob", key_type)
 
     def test_corrupted_signature_alarm_even_when_key_matches(self, world):
         store, bob, alice = world
@@ -328,6 +353,8 @@ class TestVerifyContactFingerprint:
         ):
             with pytest.raises(ParameterError):
                 alice.verify_contact_fingerprint("bob", bad)
+        with pytest.raises(ParameterError):
+            alice.verify_contact_fingerprint("bob", 123)
 
     def test_idempotent_at_top_strength(self, world):
         store, bob, alice = world
@@ -363,6 +390,10 @@ class TestSession:
         alice = Session(store, "alice", lambda _: AuthRing(KeyType.CHAT_X25519))
         with pytest.raises(ParameterError):
             alice.load_identity_key("bob")
+
+    def test_store_must_be_an_attribute_store(self):
+        with pytest.raises(ParameterError):
+            Session(object(), "alice")
 
 
 class TestInitOwnKeys:
