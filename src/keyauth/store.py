@@ -15,6 +15,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
 
@@ -32,6 +33,7 @@ from .keys import (
 PUBLIC_KEY_ATTRIBUTES = tuple(key_type.key_attribute for key_type in KeyType)
 SIGNATURE_ATTRIBUTES = tuple(key_type.signature_attribute for key_type in SUB_KEY_TYPES)
 VALID_ATTRIBUTES = PUBLIC_KEY_ATTRIBUTES + SIGNATURE_ATTRIBUTES
+_SORTED_ATTRIBUTES = sorted(VALID_ATTRIBUTES)  # the order save() writes
 
 
 # octets of each attribute with a fixed size; rsa_pub is the one known
@@ -43,6 +45,8 @@ _FIXED_OCTETS = {
 }
 _RSA_ATTRIBUTE = KeyType.SHARING_RSA.key_attribute
 _RSA_KEYS = frozenset(("n", "e"))  # the modulus and exponent of an rsa_pub value
+# an rsa_pub value as save() writes it
+_RSA_VALUE = '{{\n        "e": "{e}",\n        "n": "{n}"\n      }}'
 
 # Canonical base64 (RFC 4648 section 3.5), keyed by octet count mod 3: the
 # last character before "==" or "=" carries 4 or 2 zero pad bits.
@@ -145,11 +149,14 @@ class AttributeStore:
         self._users = users
 
     def save(self) -> None:
+        """Write ``json.dumps({"users": ...}, indent=2, sort_keys=True)`` and a
+        newline to the file, if any, rendered in full before open truncates it."""
         if self._path is None:
             return
-        text = json.dumps({"users": self._users}, indent=2, sort_keys=True) + "\n"
+        pieces = list(_render(self._users))
         try:
-            self._path.write_text(text, encoding="utf-8")
+            with self._path.open("w", encoding="utf-8") as file:
+                file.writelines(pieces)
         except OSError as exc:
             raise StoreUnavailableError(f"cannot write store {self._path}: {exc}") from exc
 
@@ -237,6 +244,27 @@ def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:
         raise PublishError(
             f"{attribute} must be {_FIXED_OCTETS[attribute]} octets, got {len(octets)}"
         ) from exc
+
+
+def _render(users: Mapping[str, Mapping]):
+    """Yield ``json.dumps({"users": users}, indent=2, sort_keys=True) + "\\n"``
+    a user a piece, without the pure-Python encoder ``indent`` selects: json's C
+    quoter quotes handles, and values are canonical base64, which needs no escape."""
+    lead = '{\n  "users": {\n    '
+    for handle, attributes in sorted(users.items()):
+        fields = []
+        for attribute in _SORTED_ATTRIBUTES:
+            if attribute in attributes:
+                value = attributes[attribute]
+                if attribute == _RSA_ATTRIBUTE:
+                    value = _RSA_VALUE.format_map(value)
+                else:
+                    value = f'"{value}"'
+                fields.append(f'"{attribute}": {value}')
+        body = "{\n      " + ",\n      ".join(fields) + "\n    }" if fields else "{}"
+        yield f"{lead}{encode_basestring_ascii(handle)}: {body}"
+        lead = ",\n    "
+    yield "\n  }\n}\n" if users else '{\n  "users": {}\n}\n'
 
 
 def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 import secrets
 import string
 import tempfile
@@ -26,6 +27,52 @@ from keyauth.store import VALID_ATTRIBUTES
 
 
 _B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+# the file save() wrote for the store test_file_format_is_fixed builds when it
+# called json.dumps(..., indent=2, sort_keys=True)
+_GOLDEN_STORE = (
+    b'{\n'
+    b'  "users": {\n'
+    b'    "bob": {\n'
+    b'      "ed25519_pub": "AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8=",\n'
+    b'      "rsa_pub": {\n'
+    b'        "e": "AQAB",\n'
+    b'        "n": "gIGCg4SFhoeIiYqLjI2Ojw=="\n'
+    b'      }\n'
+    b'    },\n'
+    b'    "zo\\u00eb \\"z\\"": {\n'
+    b'      "sig_x25519": "QEFCQ0RFRkdISUpLTE1OT1BRUlNUVVZXWFlaW1xdXl9gYWJjZGVm'
+    b'Z2hpamtsbW5vcHFyc3R1dnd4eXp7fH1+fw==",\n'
+    b'      "x25519_pub": "ICEiIyQlJicoKSorLC0uLzAxMjM0NTY3ODk6Ozw9Pj8="\n'
+    b'    }\n'
+    b'  }\n'
+    b'}\n'
+)
+
+# handles holding characters JSON escapes: quote, backslash, controls, and
+# non-ASCII ones, which it writes as one \u escape or, past U+FFFF, two
+_HANDLES = st.text(
+    st.one_of(
+        st.characters(max_codepoint=0xD7FF),  # below the surrogates
+        st.sampled_from('"\\/\x00\x1f\x7f\n\u2028é\ufeff\U0001f600'),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_RSA_COMPONENT = st.tuples(st.integers(1, 255), st.binary(max_size=300)).map(
+    lambda parts: bytes([parts[0]]) + parts[1]  # minimal: no leading zero octet
+)
+# any non-empty subset of the attributes, each with octets publish accepts
+_ATTRIBUTES = st.fixed_dictionaries(
+    {},
+    optional={
+        "ed25519_pub": st.binary(min_size=32, max_size=32),
+        "x25519_pub": st.binary(min_size=32, max_size=32),
+        "rsa_pub": st.tuples(_RSA_COMPONENT, _RSA_COMPONENT),
+        "sig_x25519": st.binary(min_size=64, max_size=64),
+        "sig_rsa": st.binary(min_size=64, max_size=64),
+    },
+).filter(bool)
 
 
 def _b64(octets: bytes) -> str:
@@ -504,3 +551,85 @@ class TestPersistence:
         store.publish("bob", "ed25519_pub", bytes(32))
         with pytest.raises(StoreUnavailableError):
             store.save()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_write_raises_naming_the_path(self, tmp_path, rsa_pair):
+        # the file opens, but every write to /dev/full fails with ENOSPC
+        path = tmp_path / "store.json"
+        store = AttributeStore(path)
+        for index in range(50):  # more text than one write buffer holds
+            store.publish(f"user{index}", "rsa_pub", rsa_pair.public)
+        path.symlink_to("/dev/full")
+        with pytest.raises(StoreUnavailableError, match=re.escape(f"{path}: ")):
+            store.save()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="json.loads keeps the last copy of a duplicate key, so open "
+        "silently drops the first",
+    )
+    def test_duplicate_handle_in_file_raises(self, tmp_path):
+        path = tmp_path / "store.json"
+        key = _b64(bytes(32))
+        path.write_text(
+            f'{{"users": {{"bob": {{"ed25519_pub": "{key}"}}, '
+            f'"bob": {{"x25519_pub": "{key}"}}}}}}'
+        )
+        with pytest.raises(StoreUnavailableError):
+            AttributeStore(path)
+
+
+class TestFileFormat:
+    """save() writes exactly json.dumps({"users": ...}, indent=2,
+    sort_keys=True) and a newline, whatever layout the file it opened had."""
+
+    @staticmethod
+    def oracle(users) -> bytes:
+        text = json.dumps({"users": users}, indent=2, sort_keys=True) + "\n"
+        return text.encode("utf-8")
+
+    def test_file_format_is_fixed(self, tmp_path):
+        path = tmp_path / "store.json"
+        store = AttributeStore(path)
+        store.save()
+        assert path.read_bytes() == b'{\n  "users": {}\n}\n'
+        store.publish("bob", "ed25519_pub", bytes(range(32)))
+        rsa_pub = frame_rsa_public(bytes(range(0x80, 0x90)), b"\x01\x00\x01")
+        store.publish("bob", "rsa_pub", rsa_pub)
+        store.publish('zoë "z"', "x25519_pub", bytes(range(32, 64)))
+        store.publish('zoë "z"', "sig_x25519", bytes(range(64, 128)))
+        store.save()
+        assert path.read_bytes() == _GOLDEN_STORE
+
+    @settings(max_examples=100, deadline=None)
+    @given(users=st.dictionaries(_HANDLES, _ATTRIBUTES, max_size=4))
+    def test_save_writes_what_json_dumps_writes(self, users):
+        expected = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "store.json")
+            store = AttributeStore(path)
+            for handle, attributes in users.items():
+                for attribute, octets in attributes.items():
+                    if attribute == "rsa_pub":
+                        n, e = octets
+                        value = {"n": _b64(n), "e": _b64(e)}
+                        octets = frame_rsa_public(n, e)
+                    else:
+                        value = _b64(octets)
+                    store.publish(handle, attribute, octets)
+                    expected.setdefault(handle, {})[attribute] = value
+            store.save()
+            assert path.read_bytes() == self.oracle(expected)
+
+    @pytest.mark.parametrize(
+        "users",
+        [{}, {"bob": {}}, {"carol": {"ed25519_pub": _b64(bytes(32))}, "bob": {}}],
+        ids=["no-users", "empty-user", "empty-user-among-others"],
+    )
+    def test_hand_written_shapes_are_rewritten_as_json_dumps_writes(
+        self, tmp_path, users
+    ):
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps({"users": users}, separators=(",", ":")))
+        AttributeStore(path).save()
+        assert path.read_bytes() == self.oracle(users)
