@@ -148,15 +148,21 @@ class AuthRing:
     never changes without an explicit reset, and the method only upgrades
     (a weaker observation never downgrades a stronger one). Failed
     operations leave the ring untouched.
+
+    A parsed ring keeps its bytes and decodes a record when first read.
+    ``changed`` turns true when a record is added, upgraded or removed.
     """
 
-    __slots__ = ("key_type", "_records")
+    __slots__ = ("key_type", "changed", "_records", "_data")
 
     def __init__(self, key_type: KeyType):
         if not isinstance(key_type, KeyType):
             raise ParameterError("key_type must be a KeyType")
         self.key_type = key_type
-        self._records: dict[str, AuthRecord] = {}
+        self.changed = False
+        # a record, or the offset in _data of the fingerprint of one not yet read
+        self._records: dict[str, AuthRecord | int] = {}
+        self._data: bytes | None = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -164,20 +170,31 @@ class AuthRing:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AuthRing):
             return NotImplemented
-        return self.key_type is other.key_type and self._records == other._records
+        return self.key_type is other.key_type and self.records() == other.records()
 
     def __repr__(self) -> str:
         return f"AuthRing({self.key_type.label}, {len(self._records)} records)"
 
     def get(self, handle: str) -> AuthRecord | None:
-        return self._records.get(handle)
+        record = self._records.get(handle)
+        if isinstance(record, int):
+            packed = self._data[record + FINGERPRINT_OCTETS]
+            record = self._records[handle] = AuthRecord(
+                Fingerprint(self._data[record : record + FINGERPRINT_OCTETS]),
+                AuthMethod(packed & 0x0F),
+                packed >> 4,
+            )
+        return record
 
     def records(self) -> list[tuple[str, AuthRecord]]:
         """All records, sorted by handle octets ascending."""
-        return sorted(self._records.items(), key=lambda item: item[0].encode("utf-8"))
+        return [(handle, self.get(handle)) for handle in self._sorted_handles()]
+
+    def _sorted_handles(self) -> list[str]:
+        return sorted(self._records, key=lambda handle: handle.encode("utf-8"))
 
     def compare(self, handle: str, fingerprint: Fingerprint) -> CompareResult:
-        record = self._records.get(handle)
+        record = self.get(handle)
         if record is None:
             return CompareResult.ABSENT
         if record.fingerprint == fingerprint:
@@ -201,43 +218,51 @@ class AuthRing:
                 f"{method.label} is not a legal method for the "
                 f"{self.key_type.label} ring"
             )
-        existing = self._records.get(handle)
+        existing = self.get(handle)
         if existing is None:
             record = AuthRecord(fingerprint=fingerprint, method=method)
-            self._records[handle] = record
-            return record
-        if existing.fingerprint != fingerprint:
+        elif existing.fingerprint != fingerprint:
             raise FingerprintConflictError(
                 handle, tracked=existing.fingerprint, offered=fingerprint
             )
-        if method > existing.method:
+        elif method > existing.method:
             record = AuthRecord(
                 fingerprint=existing.fingerprint, method=method, trust=existing.trust
             )
-            self._records[handle] = record
-            return record
-        return existing
+        else:
+            return existing
+        self._records[handle] = record
+        self.changed = True
+        return record
 
     def reset_record(self, handle: str) -> None:
         """Forget a contact entirely; the only way to accept a changed key.
 
         Resetting an untracked handle is a no-op.
         """
-        self._records.pop(handle, None)
+        if self._records.pop(handle, None) is not None:
+            self.changed = True
 
     def to_bytes(self) -> bytes:
-        """Canonical serialisation; equal rings always produce equal bytes."""
+        """Canonical serialisation; equal rings always produce equal bytes.
+        An unchanged parsed ring returns the bytes it was parsed from."""
+        if self._data is not None and not self.changed:
+            return self._data
         body = bytearray()
         body += RING_MAGIC
         body.append(RING_VERSION)
         body.append(self.key_type.tag)
         body += len(self._records).to_bytes(4, "big")
-        for handle, record in self.records():
+        for handle in self._sorted_handles():
             encoded = handle.encode("utf-8")
             body.append(len(encoded))
             body += encoded
-            body += record.fingerprint.digest
-            body.append((record.trust << 4) | int(record.method))
+            record = self._records[handle]
+            if isinstance(record, int):  # never read: copy its octets
+                body += self._data[record : record + FINGERPRINT_OCTETS + 1]
+            else:
+                body += record.fingerprint.digest
+                body.append((record.trust << 4) | int(record.method))
         body += crc32c(bytes(body)).to_bytes(4, "big")
         return bytes(body)
 
@@ -248,7 +273,7 @@ class AuthRing:
         The checksum is verified first, over everything preceding it, so
         every single-bit corruption surfaces as a checksum mismatch; the
         structural errors below can only be produced by well-checksummed
-        but malformed input.
+        but malformed input. Every record is checked, and none decoded.
         """
         if not isinstance(data, (bytes, bytearray)):
             raise ParameterError("ring data must be bytes")
@@ -274,35 +299,34 @@ class AuthRing:
             raise InvalidRingDataError(f"unknown key type tag {body[5]:#04x}") from None
         # every legal packed octet of this ring type: (trust << 4) | method
         legal = {
-            (trust << 4) | method: (method, trust)
+            (trust << 4) | method
             for method in AuthMethod
             if method_legal_for(key_type, method)
             for trust in range(MAX_TRUST + 1)
         }
         count = int.from_bytes(body[6:10], "big")
+        size = len(body)
         offset = _HEADER_OCTETS
-        records: dict[str, AuthRecord] = {}
-        previous: bytes | None = None
+        records: dict[str, int] = {}
+        previous = b""  # sorts before every handle, none being empty
         for _ in range(count):
-            if offset + 1 > len(body):
+            if offset + 1 > size:
                 raise TruncatedRingError("ring record list ends early")
-            handle_len = body[offset]
-            offset += 1
-            if handle_len == 0:
+            handle_end = offset + 1 + body[offset]
+            if handle_end == offset + 1:
                 raise InvalidRingDataError("empty handle in ring record")
-            end = offset + handle_len + FINGERPRINT_OCTETS + 1
-            if end > len(body):
+            end = handle_end + FINGERPRINT_OCTETS + 1
+            if end > size:
                 raise TruncatedRingError("ring record ends early")
-            handle_octets = body[offset : offset + handle_len]
-            if previous is not None:
+            handle_octets = body[offset + 1 : handle_end]
+            if handle_octets <= previous:
                 if handle_octets == previous:
                     raise DuplicateHandleError(
                         f"duplicate handle {handle_octets!r} in ring"
                     )
-                if handle_octets < previous:
-                    raise InvalidRingDataError(
-                        "ring records are not in canonical handle order"
-                    )
+                raise InvalidRingDataError(
+                    "ring records are not in canonical handle order"
+                )
             previous = handle_octets
             try:
                 handle = handle_octets.decode("utf-8")
@@ -310,24 +334,17 @@ class AuthRing:
                 raise InvalidRingDataError(
                     f"handle {handle_octets!r} is not valid UTF-8"
                 ) from None
-            offset += handle_len
-            fingerprint = Fingerprint(body[offset : offset + FINGERPRINT_OCTETS])
-            offset += FINGERPRINT_OCTETS
-            packed = body[offset]
-            offset += 1
-            try:
-                method, trust = legal[packed]
-            except KeyError:
-                raise _illegal_packed_octet(key_type, packed) from None
-            records[handle] = AuthRecord(
-                fingerprint=fingerprint, method=method, trust=trust
-            )
-        if offset != len(body):
+            if body[end - 1] not in legal:
+                raise _illegal_packed_octet(key_type, body[end - 1])
+            records[handle] = handle_end
+            offset = end
+        if offset != size:
             raise InvalidRingDataError(
-                f"{len(body) - offset} trailing octets after ring records"
+                f"{size - offset} trailing octets after ring records"
             )
         ring = cls(key_type)
         ring._records = records
+        ring._data = data
         return ring
 
 

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .authring import AuthRecord, AuthRing, checked_handle
+from .authring import AuthRing, checked_handle
 from .errors import (
     ComparisonFailedError,
     FingerprintMismatchError,
@@ -182,34 +182,26 @@ class _UsageError(Exception):
 def _session(args) -> Iterator[Session]:
     """A session over the store and the identity dir's rings. A ring file is
     parsed only when a decision first needs it, and on exit the rings whose
-    records changed are saved, even when a load raised: an alarm can follow
-    a new identity pin. A save that fails then is reported on stderr and the
-    load's error propagates, so a failed write never replaces an alarm. A
-    ring parses only from its canonical bytes, and equal records serialise
-    to equal bytes, so a ring whose records did not change would be written
-    unchanged: it is not serialised at all."""
+    ``changed`` flag is set are saved, even when a load raised: an alarm can
+    follow a new identity pin. A save that fails then is reported on stderr
+    and the load's error propagates, so a failed write never replaces an
+    alarm. A ring is changed only when a record was added, upgraded or
+    removed, so a ring that was only read is not serialised at all."""
     if not args.home.is_dir():
         raise InitError(f"no identity dir at {args.home}; run init first")
     store = AttributeStore(args.store)
-    records_at_load: dict[KeyType, list[tuple[str, AuthRecord]]] = {}
 
     def load_ring(key_type: KeyType) -> AuthRing:
         # load_rings is looked up at each call, so a rebound name sees every load
-        ring = load_rings(args.home, [key_type])[key_type]
-        records_at_load[key_type] = ring.records()
-        return ring
+        return load_rings(args.home, [key_type])[key_type]
 
     def save_changed_rings() -> None:
         save_rings(
             args.home,
-            {
-                key_type: ring
-                for key_type, ring in session.rings.items()
-                if ring.records() != records_at_load[key_type]
-            },
+            {kt: ring for kt, ring in session.rings.items() if ring.changed},
         )
 
-    session = Session(store, args.user, load_ring)
+    session = Session(store, load_ring)
     try:
         yield session
     except BaseException:
@@ -251,8 +243,10 @@ def cmd_init(args) -> int:
 
 
 def cmd_credentials(args) -> int:
-    _require(args, "home", "user")
+    _require(args, "home")
     handle = args.handle
+    if handle is None:
+        _require(args, "user")
     if handle is None or handle == args.user:
         material = load_own_material(args.home)
         if material.identity is None:
@@ -273,7 +267,7 @@ def cmd_credentials(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require(args, "store", "home", "user")
+    _require(args, "store", "home")
     asserted = " ".join(args.fingerprint)
     with _session(args) as session:
         try:
@@ -296,7 +290,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fetch(args) -> int:
-    _require(args, "store", "home", "user")
+    _require(args, "store", "home")
     key_type = _KEY_TYPE_ALIASES[args.key_type]
     with _session(args) as session:
         if key_type is KeyType.IDENTITY_ED25519:

@@ -140,7 +140,8 @@ def run_scenario(
     material = OwnKeyMaterial(sharing=sharing_pair())
     handle = new_handle("victim")
     victim_keys, _ = init_own_keys(store, handle, existing=material)
-    verifier = Session(store, new_handle("verifier"))
+    new_handle("verifier")  # the verifier needs no handle; seeded runs need the draw
+    verifier = Session(store)
     honest_identity = victim_keys.identity.public
     strip = scenario.strip
     report = ScenarioReport(name, scenario.expected, observed="")

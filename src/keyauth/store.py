@@ -120,7 +120,8 @@ class AttributeStore:
         accepts."""
         # ValueError covers bad UTF-8 and JSON, and bad handles and values
         try:
-            document = json.loads(self._path.read_text(encoding="utf-8"))
+            text = self._path.read_text(encoding="utf-8")
+            document = json.loads(text)
             # save() writes only users; the next save would lose anything more
             if document.keys() != {"users"}:
                 raise ValueError("the top-level object must hold only users")
@@ -142,6 +143,15 @@ class AttributeStore:
                 columns[f"{_RSA_ATTRIBUTE}.{part}"] = [value[part] for value in rsa]
             for name, values in columns.items():
                 _check_column(name, values)
+            # json.loads keeps only the last value of a repeated key. Each
+            # member of an object, kept or not, writes one colon and valid
+            # values hold none; so when no escape can hide a colon, the text
+            # repeats no key if its colons are one per kept member plus those
+            # in the handles. Any other text is parsed again, pair by pair.
+            # kept members: "users", the handles, their attributes, n and e
+            members = 1 + len(users) + sum(map(len, users.values())) + 2 * len(rsa)
+            if "\\" in text or text.count(":") != members + "".join(users).count(":"):
+                json.loads(text, object_pairs_hook=_unique_keys)
         except (
             OSError, ValueError, KeyError, TypeError, AttributeError, PublishError
         ) as exc:
@@ -292,3 +302,13 @@ def _check_column(name: str, values: list) -> None:
         raise ValueError(
             f"{name} holds a value that is not canonical base64 of a valid size"
         )
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice, of which
+    json.loads alone would keep the last value."""
+    document = dict(pairs)
+    if len(document) != len(pairs):
+        key = Counter(key for key, _ in pairs).most_common(1)[0][0]
+        raise ValueError(f"duplicate key {key!r}")
+    return document

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .authring import AuthMethod, AuthRecord, AuthRing, CompareResult, checked_handle
+from .authring import AuthMethod, AuthRecord, AuthRing, CompareResult
 from .errors import (
     ComparisonFailedError,
     FingerprintMismatchError,
@@ -81,12 +81,10 @@ class Session:
     which ``load_ring(key_type)`` supplies when a decision first needs it.
     The default gives empty in-memory rings."""
 
-    def __init__(self, store: AttributeStore, own_handle: str, load_ring=AuthRing):
+    def __init__(self, store: AttributeStore, load_ring=AuthRing):
         if not isinstance(store, AttributeStore):
             raise ParameterError("store must be an AttributeStore")
-        checked_handle(own_handle)
         self.store = store
-        self.own_handle = own_handle
         self._load_ring = load_ring
         self.rings: dict[KeyType, AuthRing] = {}
 

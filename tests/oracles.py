@@ -97,20 +97,26 @@ def _xrecover(y: int) -> int:
 
 _BY = (4 * _inv(5)) % _Q
 _BX = _xrecover(_BY)
-_BASE = (_BX, _BY)
+# extended homogeneous coordinates (X, Y, Z, T): x = X/Z, y = Y/Z, x*y = T/Z
+_BASE = (_BX, _BY, 1, _BX * _BY % _Q)
+_NEUTRAL = (0, 1, 1, 0)
 
 
-def _edwards_add(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    x1, y1 = p
-    x2, y2 = q
-    common = _D * x1 * x2 * y1 * y2
-    x3 = (x1 * y2 + x2 * y1) * _inv(1 + common)
-    y3 = (y1 * y2 + x1 * x2) * _inv(1 - common)
-    return (x3 % _Q, y3 % _Q)
+def _edwards_add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Point addition in extended coordinates, RFC 8032 section 5.1.4: no
+    inverse, which the affine formulas need twice per addition."""
+    x1, y1, z1, t1 = p
+    x2, y2, z2, t2 = q
+    a = (y1 - x1) * (y2 - x2) % _Q
+    b = (y1 + x1) * (y2 + x2) % _Q
+    c = 2 * t1 * t2 * _D % _Q
+    d = 2 * z1 * z2 % _Q
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return (e * f % _Q, g * h % _Q, f * g % _Q, e * h % _Q)
 
 
-def _edwards_scalarmult(point: tuple[int, int], scalar: int) -> tuple[int, int]:
-    result = (0, 1)
+def _edwards_scalarmult(point: tuple[int, ...], scalar: int) -> tuple[int, ...]:
+    result = _NEUTRAL
     addend = point
     while scalar:
         if scalar & 1:
@@ -127,7 +133,9 @@ def ed25519_public_from_seed(seed: bytes) -> bytes:
     scalar = int.from_bytes(digest[:32], "little")
     scalar &= (1 << 254) - 8
     scalar |= 1 << 254
-    x, y = _edwards_scalarmult(_BASE, scalar)
+    x, y, z, _ = _edwards_scalarmult(_BASE, scalar)
+    z_inv = _inv(z)
+    x, y = x * z_inv % _Q, y * z_inv % _Q
     encoded = y | ((x & 1) << 255)
     return encoded.to_bytes(32, "little")
 

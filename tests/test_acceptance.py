@@ -148,7 +148,7 @@ def test_criterion_4_upgrade_path():
     chat = generate_chat_keypair()
     store.publish("bob", "ed25519_pub", identity.public)
     store.publish("bob", "x25519_pub", chat.public)
-    alice = Session(store, "alice")
+    alice = Session(store)
 
     alice.load_signed_key("bob", KeyType.CHAT_X25519)
     before = alice.ring(KeyType.CHAT_X25519).get("bob")
@@ -171,7 +171,7 @@ def test_criterion_5_round_trip_minimality(rsa_pair):
     store = AttributeStore()
     init_own_keys(store, "bob", existing=OwnKeyMaterial(sharing=rsa_pair))
     for key_type in (KeyType.CHAT_X25519, KeyType.SHARING_RSA):
-        alice = Session(store, "alice")
+        alice = Session(store)
         store.reset_stats()
         alice.load_signed_key("bob", key_type)
         first_load = store.stats().total

@@ -457,3 +457,121 @@ class TestMonotonicity:
                 assert record.fingerprint == tracked_fp
                 assert record.method == tracked_method
             assert len(ring) == len(model)
+
+
+class TestLazyParse:
+    """A parsed ring checks every record when it is parsed but decodes a
+    record only when it is read. Its behaviour is held against a mirror: a
+    plain dict of every record, decoded up front, whose bytes come from the
+    manual builder."""
+
+    @staticmethod
+    def encode(key_type, model) -> bytes:
+        return build_ring_bytes(
+            key_type.tag,
+            [
+                (handle.encode("utf-8"), fingerprint.digest, trust, method)
+                for handle, (fingerprint, method, trust) in sorted(
+                    model.items(), key=lambda item: item[0].encode("utf-8")
+                )
+            ],
+        )
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_matches_an_eager_mirror(self, data):
+        key_type = data.draw(st.sampled_from(list(KeyType)))
+        legal = [m for m in AuthMethod if method_legal_for(key_type, m)]
+        names = data.draw(st.lists(handles(), min_size=1, max_size=6, unique=True))
+        model = {
+            handle: (
+                fp(data.draw(st.integers(0, 1))),
+                data.draw(st.sampled_from(legal)),
+                data.draw(st.integers(0, 15)),
+            )
+            for handle in data.draw(st.lists(st.sampled_from(names), unique=True))
+        }
+        original = self.encode(key_type, model)
+        ring = AuthRing.from_bytes(original)
+        changed = False
+        ops = st.tuples(
+            st.sampled_from(["track", "reset", "get"]),
+            st.sampled_from(names),
+            st.integers(0, 1),
+            st.sampled_from(list(AuthMethod)),
+        )
+        for op, handle, seed, method in data.draw(st.lists(ops, max_size=20)):
+            before = model.get(handle)
+            if op == "get":
+                expected = None if before is None else AuthRecord(*before)
+                assert ring.get(handle) == expected
+            elif op == "reset":
+                ring.reset_record(handle)
+                changed |= model.pop(handle, None) is not None
+            elif method not in legal:
+                with pytest.raises(IllegalMethodError):
+                    ring.track(handle, fp(seed), method)
+            elif before is not None and before[0] != fp(seed):
+                with pytest.raises(FingerprintConflictError):
+                    ring.track(handle, fp(seed), method)
+            else:
+                record = ring.track(handle, fp(seed), method)
+                if before is None or method > before[1]:
+                    trust = 0 if before is None else before[2]
+                    model[handle] = (fp(seed), method, trust)
+                    changed = True
+                assert record == AuthRecord(*model[handle])
+        assert ring.changed is changed
+        # bytes first: records() decodes every record, and to_bytes copies
+        # the octets of the records never read
+        assert ring.to_bytes() == self.encode(key_type, model)
+        if not changed:
+            assert ring.to_bytes() == original
+        assert ring.records() == [
+            (handle, AuthRecord(*model[handle]))
+            for handle in sorted(model, key=lambda handle: handle.encode("utf-8"))
+        ]
+
+    def test_unchanged_ring_returns_its_input(self):
+        data = build_ring_bytes(
+            0x00, [(b"ann", fp(1).digest, 3, 0), (b"bob", fp(2).digest, 0, 2)]
+        )
+        ring = AuthRing.from_bytes(data)
+        assert ring.compare("ann", fp(1)) is CompareResult.MATCH
+        ring.track("bob", fp(2), AuthMethod.SEEN)  # no upgrade
+        ring.reset_record("cat")  # not tracked
+        assert not ring.changed
+        assert ring.to_bytes() is data
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda ring: ring.track("bob", fp(2), AuthMethod.SEEN),
+            lambda ring: ring.track("ann", fp(1), AuthMethod.FINGERPRINT_COMPARISON),
+            lambda ring: ring.reset_record("ann"),
+        ],
+        ids=["add", "upgrade", "remove"],
+    )
+    def test_add_upgrade_and_remove_mark_the_ring_changed(self, change):
+        data = build_ring_bytes(0x00, [(b"ann", fp(1).digest, 7, 0)])
+        ring = AuthRing.from_bytes(data)
+        change(ring)
+        assert ring.changed
+        assert ring.to_bytes() != data
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_illegal_octet_in_an_unread_record_is_refused(self, position):
+        records = [(name, bytes(20), 0, 1) for name in (b"ann", b"bob", b"cat")]
+        # fingerprint comparison (0x2) is illegal in a chat ring; the builder
+        # recomputes the checksum, so the octet check is what must refuse it
+        records[position] = (records[position][0], bytes(20), 0, 2)
+        with pytest.raises(InvalidRingDataError, match="is illegal in a chat"):
+            AuthRing.from_bytes(build_ring_bytes(0x01, records))
+
+    def test_changing_the_input_buffer_later_changes_nothing(self):
+        data = build_ring_bytes(0x01, [(b"bob", fp(1).digest, 5, 1)])
+        buffer = bytearray(data)
+        ring = AuthRing.from_bytes(buffer)
+        buffer[:] = bytes(len(buffer))
+        assert ring.get("bob") == AuthRecord(fp(1), AuthMethod.SIGNATURE_VERIFIED, 5)
+        assert ring.to_bytes() == data

@@ -174,6 +174,23 @@ class TestInit:
         assert code == EXIT_USAGE
         assert "--user" in err and "--store" not in err
 
+    def test_contact_commands_need_no_user(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        alice = ["--store", env.store_path, "--home", env.home("alice")]
+        code, _, err = env.run(*alice, "fetch", "bob", "chat", capsys=capsys)
+        assert code == EXIT_OK, err
+        code, out, err = env.run(
+            *alice, "--machine", "credentials", "bob", capsys=capsys
+        )
+        assert code == EXIT_OK, err
+        code, _, err = env.run(*alice, "verify", "bob", out.strip(), capsys=capsys)
+        assert code == EXIT_OK, err
+        # own credentials still name the user
+        code, _, err = env.run(*alice, "credentials", capsys=capsys)
+        assert code == EXIT_USAGE
+        assert "--user" in err
+
     @pytest.mark.parametrize(
         "name, content, reason",
         [

@@ -563,11 +563,6 @@ class TestPersistence:
         with pytest.raises(StoreUnavailableError, match=re.escape(f"{path}: ")):
             store.save()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="json.loads keeps the last copy of a duplicate key, so open "
-        "silently drops the first",
-    )
     def test_duplicate_handle_in_file_raises(self, tmp_path):
         path = tmp_path / "store.json"
         key = _b64(bytes(32))
@@ -577,6 +572,104 @@ class TestPersistence:
         )
         with pytest.raises(StoreUnavailableError):
             AttributeStore(path)
+
+    @pytest.mark.parametrize(
+        "user",
+        [
+            '{{"ed25519_pub": "{k}", "ed25519_pub": "{k}"}}',
+            '{{"rsa_pub": {{"n": "AQAB", "n": "AQAB", "e": "AQAB"}}}}',
+        ],
+        ids=["attribute", "rsa-part"],
+    )
+    def test_duplicate_key_inside_a_user_raises(self, tmp_path, user):
+        # json.loads alone would keep the last copy, which is valid here
+        path = tmp_path / "store.json"
+        path.write_text(f'{{"users": {{"bob": {user.format(k=_b64(bytes(32)))}}}}}')
+        with pytest.raises(StoreUnavailableError, match="duplicate key"):
+            AttributeStore(path)
+
+    def test_an_escaped_colon_does_not_hide_a_repeated_key(self, tmp_path):
+        # the escape writes no colon for the one the handle holds, and the
+        # repeated attribute writes one more, so a count of colons balances
+        path = tmp_path / "store.json"
+        key = _b64(bytes(32))
+        path.write_text(
+            f'{{"users": {{"a\\u003a": '
+            f'{{"ed25519_pub": "{key}", "ed25519_pub": "{key}"}}}}}}'
+        )
+        assert path.read_text().count(":") == 4
+        with pytest.raises(StoreUnavailableError, match="duplicate key"):
+            AttributeStore(path)
+
+    @staticmethod
+    def json_text(data, node) -> str:
+        """``node`` as JSON text: a string, or an object given as a list of
+        (key, node) pairs, repeated keys kept. Spacing, ASCII escapes and
+        escaped colons are drawn from ``data``."""
+        if isinstance(node, str):
+            text = json.dumps(node, ensure_ascii=data.draw(st.booleans()))
+            return text.replace(":", "\\u003a") if data.draw(st.booleans()) else text
+        spaces = st.sampled_from(["", " ", "\n  "])
+        members = [
+            TestPersistence.json_text(data, key)
+            + data.draw(spaces) + ":" + data.draw(spaces)
+            + TestPersistence.json_text(data, value)
+            for key, value in node
+        ]
+        return "{" + ("," + data.draw(spaces)).join(members) + "}"
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_a_repeated_key_is_refused_in_any_layout(self, tmp_path_factory, data):
+        values = {
+            "ed25519_pub": _b64(bytes(32)),
+            "x25519_pub": _b64(bytes(range(32))),
+            "rsa_pub": [("n", "AQAB"), ("e", "AQAB")],
+            "sig_x25519": _b64(bytes(64)),
+            "sig_rsa": _b64(bytes(64)),
+        }
+        handles = st.text(st.sampled_from(':"\\é a'), min_size=1, max_size=4)
+        attributes = st.lists(st.sampled_from(list(values)), unique=True)
+        users = [
+            (handle, [(a, values[a]) for a in data.draw(attributes)])
+            for handle in data.draw(st.lists(handles, max_size=3, unique=True))
+        ]
+        document = [("users", users)]
+        repeat = data.draw(st.booleans())
+        if repeat:
+            # one member of one object, given twice
+            objects = [document, users]
+            for _, members in users:
+                objects += [members, *(v for _, v in members if isinstance(v, list))]
+            target = data.draw(st.sampled_from([o for o in objects if o]))
+            member = data.draw(st.sampled_from(target))
+            target.insert(data.draw(st.integers(0, len(target))), member)
+        path = tmp_path_factory.mktemp("store") / "store.json"
+        path.write_text(self.json_text(data, document), encoding="utf-8")
+        if repeat:
+            with pytest.raises(StoreUnavailableError, match="duplicate key"):
+                AttributeStore(path)
+        else:
+            AttributeStore(path)
+
+    def test_a_saved_store_opens_without_the_pairwise_parse(
+        self, tmp_path, monkeypatch
+    ):
+        # what save() writes has no escape for an ASCII handle, so open's
+        # colon count settles it; the parse that sees each pair is the
+        # slower path for files that count cannot
+        path = tmp_path / "store.json"
+        store = AttributeStore(path)
+        store.publish("a:b", "ed25519_pub", bytes(32))
+        store.publish("a:b", "rsa_pub", frame_rsa_public(b"\x01\x00\x01", b"\x03"))
+        store.publish("carol", "sig_x25519", bytes(64))
+        store.save()
+
+        def refuse(pairs):
+            raise AssertionError("the pairwise parse ran")
+
+        monkeypatch.setattr("keyauth.store._unique_keys", refuse)
+        assert AttributeStore(path).fetch("a:b", "ed25519_pub") == bytes(32)
 
 
 class TestFileFormat:

@@ -44,7 +44,7 @@ def world(rsa_pair):
     """An in-memory store with bob fully initialised and alice verifying."""
     store = AttributeStore()
     bob, _ = init_own_keys(store, "bob", existing=OwnKeyMaterial(sharing=rsa_pair))
-    alice = Session(store, "alice")
+    alice = Session(store)
     store.reset_stats()
     return store, bob, alice
 
@@ -204,7 +204,7 @@ class TestLoadSignedKey:
 
         store = ShortSignatureStore()
         init_own_keys(store, "bob", existing=OwnKeyMaterial(sharing=rsa_pair))
-        alice = Session(store, "alice")
+        alice = Session(store)
         with pytest.raises(MalformedKeyError):
             alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert alice.ring(KeyType.CHAT_X25519).get("bob") is None
@@ -222,7 +222,7 @@ class TestUnsignedFallback:
         store.publish("bob", "ed25519_pub", identity.public)
         store.publish("bob", "x25519_pub", chat.public)
         store.publish("bob", "rsa_pub", rsa_pair.public)
-        alice = Session(store, "alice")
+        alice = Session(store)
         store.reset_stats()
         return store, identity, chat, alice
 
@@ -376,7 +376,7 @@ class TestSession:
             loads.append(key_type)
             return AuthRing(key_type)
 
-        alice = Session(store, "alice", load_ring)
+        alice = Session(store, load_ring)
         assert loads == []
         alice.load_identity_key("bob")
         alice.load_identity_key("bob")
@@ -387,13 +387,13 @@ class TestSession:
         store, _, _ = world
         from keyauth import AuthRing
 
-        alice = Session(store, "alice", lambda _: AuthRing(KeyType.CHAT_X25519))
+        alice = Session(store, lambda _: AuthRing(KeyType.CHAT_X25519))
         with pytest.raises(ParameterError):
             alice.load_identity_key("bob")
 
     def test_store_must_be_an_attribute_store(self):
         with pytest.raises(ParameterError):
-            Session(object(), "alice")
+            Session(object())
 
 
 class TestInitOwnKeys:
