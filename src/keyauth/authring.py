@@ -223,7 +223,7 @@ class AuthRing:
             record = AuthRecord(fingerprint=fingerprint, method=method)
         elif existing.fingerprint != fingerprint:
             raise FingerprintConflictError(
-                handle, tracked=existing.fingerprint, offered=fingerprint
+                handle, self.key_type, existing.fingerprint, fingerprint
             )
         elif method > existing.method:
             record = AuthRecord(

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .authring import AuthRing, checked_handle
 from .errors import (
-    ComparisonFailedError,
     FingerprintMismatchError,
     InitError,
     KeyAuthError,
@@ -178,6 +177,20 @@ class _UsageError(Exception):
     pass
 
 
+def _report(exc: KeyAuthError) -> None:
+    """Print an error on stderr as ``error[<code>]: <message>``, followed by
+    the alarm's advice line when it has one."""
+    print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+    if getattr(exc, "advice", ""):
+        print(exc.advice, file=sys.stderr)
+
+
+def _require_home(args) -> None:
+    """Refuse to read rings from an identity dir that init has not made."""
+    if not args.home.is_dir():
+        raise InitError(f"no identity dir at {args.home}; run init first")
+
+
 @contextmanager
 def _session(args) -> Iterator[Session]:
     """A session over the store and the identity dir's rings. A ring file is
@@ -187,8 +200,7 @@ def _session(args) -> Iterator[Session]:
     and the load's error propagates, so a failed write never replaces an
     alarm. A ring is changed only when a record was added, upgraded or
     removed, so a ring that was only read is not serialised at all."""
-    if not args.home.is_dir():
-        raise InitError(f"no identity dir at {args.home}; run init first")
+    _require_home(args)
     store = AttributeStore(args.store)
 
     def load_ring(key_type: KeyType) -> AuthRing:
@@ -208,7 +220,7 @@ def _session(args) -> Iterator[Session]:
         try:
             save_changed_rings()
         except InitError as exc:
-            print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+            _report(exc)
         raise
     save_changed_rings()
 
@@ -270,15 +282,7 @@ def cmd_verify(args) -> int:
     _require(args, "store", "home")
     asserted = " ".join(args.fingerprint)
     with _session(args) as session:
-        try:
-            record = session.verify_contact_fingerprint(args.handle, asserted)
-        except ComparisonFailedError as exc:
-            print(
-                f"error[{exc.code}]: {exc}\n"
-                f"DO NOT TRUST {args.handle!r} until the fingerprints match",
-                file=sys.stderr,
-            )
-            return EXIT_FINGERPRINT_MISMATCH
+        record = session.verify_contact_fingerprint(args.handle, asserted)
     if args.machine:
         print(f"verified\t{args.handle}\t{record.fingerprint.hex()}")
     else:
@@ -319,6 +323,7 @@ def cmd_ring(args) -> int:
         if args.key_type is None:
             raise _UsageError("give a key type or --all")
         key_types = [_KEY_TYPE_ALIASES[args.key_type]]
+    _require_home(args)
     for key_type, ring in load_rings(args.home, key_types).items():
         for handle, record in ring.records():
             columns = (
@@ -448,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"keyauth: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyAuthError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        _report(exc)
         for error_class, code in _EXIT_BY_ERROR:
             if isinstance(exc, error_class):
                 return code

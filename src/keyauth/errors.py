@@ -2,7 +2,13 @@
 
 Every error class carries a stable ``code`` discriminant that the CLI and
 machine-readable output rely on; the class hierarchy is part of the public
-contract and new subclasses must not change existing codes.
+contract, and a code never changes, not even when a subclass is added.
+
+The five alarms about a contact's key (fingerprint conflict and mismatch,
+failed comparison, invalid signature, changed key) share one constructor and
+four fields: ``handle``, ``key_type``, ``tracked`` (the ring's pin, or None
+when there is none) and ``observed`` (the fingerprint that contradicts it).
+Each class names its ``code`` and its ``message`` template.
 """
 
 from __future__ import annotations
@@ -38,22 +44,34 @@ class IllegalMethodError(KeyAuthError):
     code = "illegal-method"
 
 
-class FingerprintConflictError(KeyAuthError):
+class _KeyAlarm(KeyAuthError):
+    """An alarm about a contact's key. Its ``message`` template, and the
+    optional ``advice`` line the CLI prints after it, are formatted from the
+    four fields."""
+
+    message = ""
+    advice = ""
+
+    def __init__(self, handle: str, key_type, tracked, observed):
+        self.handle = handle
+        self.key_type = key_type
+        self.tracked = tracked
+        self.observed = observed
+        super().__init__(self.message.format_map(vars(self)))
+        self.advice = self.advice.format_map(vars(self))
+
+
+class FingerprintConflictError(_KeyAlarm):
     """A tracked fingerprint differs from the one being recorded.
 
     The ring is left unchanged; resolution requires an explicit reset.
     """
 
     code = "fingerprint-conflict"
-
-    def __init__(self, handle: str, tracked, offered):
-        self.handle = handle
-        self.tracked = tracked
-        self.offered = offered
-        super().__init__(
-            f"fingerprint conflict for {handle!r}: tracked {tracked.hex()}, "
-            f"offered {offered.hex()}"
-        )
+    message = (
+        "fingerprint conflict for {handle!r}: tracked {tracked}, offered "
+        "{observed}"
+    )
 
 
 class RingParseError(KeyAuthError):
@@ -113,55 +131,41 @@ class MissingRecordError(KeyAuthError):
     code = "missing-record"
 
 
-class FingerprintMismatchError(KeyAuthError):
+class FingerprintMismatchError(_KeyAlarm):
     """A fetched key's fingerprint differs from the tracked one.
 
     Carries both fingerprints so the caller can display the alarm.
     """
 
     code = "fingerprint-mismatch"
-
-    def __init__(self, handle: str, tracked, observed, key_type=None):
-        self.handle = handle
-        self.tracked = tracked
-        self.observed = observed
-        self.key_type = key_type
-        label = f" ({key_type.label})" if key_type is not None else ""
-        super().__init__(
-            f"fingerprint mismatch for {handle!r}{label}: tracked "
-            f"{tracked.hex()}, fetched key has {observed.hex()}"
-        )
+    message = (
+        "fingerprint mismatch for {handle!r} ({key_type.label}): tracked "
+        "{tracked}, fetched key has {observed}"
+    )
 
 
 class ComparisonFailedError(FingerprintMismatchError):
     """A manually asserted fingerprint does not match the tracked one."""
 
     code = "comparison-failed"
-
-    def __init__(self, handle: str, tracked, observed, key_type=None):
-        super().__init__(handle, tracked, observed, key_type)
-        self.args = (
-            f"asserted fingerprint {observed.hex()} does not match the one "
-            f"tracked for {handle!r} ({tracked.hex()})",
-        )
+    message = (
+        "asserted fingerprint {observed} does not match the one tracked for "
+        "{handle!r} ({tracked})"
+    )
+    advice = "DO NOT TRUST {handle!r} until the fingerprints match"
 
 
-class SignatureInvalidError(KeyAuthError):
+class SignatureInvalidError(_KeyAlarm):
     """A sub-key signature failed verification against the identity key."""
 
     code = "signature-invalid"
-
-    def __init__(self, handle: str, key_type, fingerprint):
-        self.handle = handle
-        self.key_type = key_type
-        self.fingerprint = fingerprint
-        super().__init__(
-            f"signature verification failed for {handle!r} {key_type.label} "
-            f"key {fingerprint.hex()}"
-        )
+    message = (
+        "signature verification failed for {handle!r} {key_type.label} key "
+        "{observed}"
+    )
 
 
-class KeyChangedWarningError(KeyAuthError):
+class KeyChangedWarningError(_KeyAlarm):
     """A validly signed sub-key differs from the tracked fingerprint.
 
     The signature checks out, but silently replacing a pinned key would let
@@ -170,16 +174,10 @@ class KeyChangedWarningError(KeyAuthError):
     """
 
     code = "key-changed-warning"
-
-    def __init__(self, handle: str, key_type, tracked, observed):
-        self.handle = handle
-        self.key_type = key_type
-        self.tracked = tracked
-        self.observed = observed
-        super().__init__(
-            f"{handle!r} {key_type.label} key changed from {tracked.hex()} "
-            f"to {observed.hex()} (signature valid); reset the record to accept"
-        )
+    message = (
+        "{handle!r} {key_type.label} key changed from {tracked} to {observed} "
+        "(signature valid); reset the record to accept"
+    )
 
 
 class InitError(KeyAuthError):

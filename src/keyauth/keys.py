@@ -53,6 +53,8 @@ class Fingerprint:
     def hex(self) -> str:
         return self.digest.hex()
 
+    __str__ = hex
+
     @classmethod
     def from_hex(cls, text: str) -> "Fingerprint":
         if len(text) != 2 * FINGERPRINT_OCTETS:
@@ -459,13 +461,10 @@ def check_keypair_consistency(
         return True
     if not isinstance(pair, SharingKeyPair):
         raise ParameterError(f"not a keypair type: {type(pair).__name__}")
-    try:
-        n, e, d, p, q = (int.from_bytes(octets, "big") for octets in astuple(pair))
-        # the factor guards come first: the primality test needs p, q >= 2
-        if not (1 < p and 1 < q and p != q and n == p * q):
-            return False
-        if e * d % math.lcm(p - 1, q - 1) != 1:
-            return False
-        return _is_probable_prime(p, (2,)) and _is_probable_prime(q, (2,))
-    except Exception:
+    n, e, d, p, q = (int.from_bytes(octets, "big") for octets in astuple(pair))
+    # the factor guards come first: the primality test needs p, q >= 2
+    if not (1 < p and 1 < q and p != q and n == p * q):
         return False
+    if e * d % math.lcm(p - 1, q - 1) != 1:
+        return False
+    return _is_probable_prime(p, (2,)) and _is_probable_prime(q, (2,))

@@ -147,17 +147,13 @@ class Session:
         signature = self.store.fetch(handle, key_type.signature_attribute)
         if signature is not None:
             identity = self.load_identity_key(handle)
+            tracked = existing.fingerprint if existing else None
             if not verify_key_signature(
                 identity.public_octets, key_type, public, signature
             ):
-                raise SignatureInvalidError(handle, key_type, fingerprint)
+                raise SignatureInvalidError(handle, key_type, tracked, fingerprint)
             if result is CompareResult.MISMATCH:
-                raise KeyChangedWarningError(
-                    handle,
-                    key_type,
-                    tracked=existing.fingerprint,
-                    observed=fingerprint,
-                )
+                raise KeyChangedWarningError(handle, key_type, tracked, fingerprint)
             record = ring.track(handle, fingerprint, AuthMethod.SIGNATURE_VERIFIED)
             return LoadedKey(
                 key_type, public, record.method, result is CompareResult.ABSENT
@@ -183,10 +179,7 @@ class Session:
             record = ring.track(handle, fingerprint, AuthMethod.SEEN)
             return LoadedKey(key_type, public, record.method, True)
         raise FingerprintMismatchError(
-            handle,
-            tracked=ring.get(handle).fingerprint,
-            observed=fingerprint,
-            key_type=key_type,
+            handle, key_type, ring.get(handle).fingerprint, fingerprint
         )
 
     # -- manual verification ----------------------------------------------
@@ -215,10 +208,7 @@ class Session:
             )
         if record.fingerprint != asserted:
             raise ComparisonFailedError(
-                handle,
-                tracked=record.fingerprint,
-                observed=asserted,
-                key_type=KeyType.IDENTITY_ED25519,
+                handle, KeyType.IDENTITY_ED25519, record.fingerprint, asserted
             )
         return ring.track(handle, record.fingerprint, AuthMethod.FINGERPRINT_COMPARISON)
 

@@ -121,7 +121,7 @@ class TestRingSemantics:
         with pytest.raises(FingerprintConflictError) as exc_info:
             ring.track("bob", fp(2), AuthMethod.SEEN)
         assert exc_info.value.tracked == fp(1)
-        assert exc_info.value.offered == fp(2)
+        assert exc_info.value.observed == fp(2)
         assert ring.get("bob") == AuthRecord(fp(1), AuthMethod.SIGNATURE_VERIFIED)
 
     def test_reset_allows_new_fingerprint(self):

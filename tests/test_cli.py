@@ -9,6 +9,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -861,6 +862,80 @@ class TestMissingHome:
         assert str(env.home("alice")) in err
         assert not env.home("alice").exists()
         TestWritePolicy.assert_untouched(before)
+
+    def test_ring_exits_1(self, env, capsys):
+        """A mistyped --home must not look like an empty set of rings."""
+        home = env.home("alice")
+        code, out, err = env.run("--home", home, "ring", "--all", capsys=capsys)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error[init]: no identity dir at {home}; run init first\n"
+        assert not home.exists()
+
+
+class TestAlarmStderr:
+    """Each alarm reaches stderr through ``main`` as exactly these bytes;
+    only the fingerprints, which differ from run to run, are masked."""
+
+    @staticmethod
+    def masked(text):
+        return re.sub(r"\b[0-9a-f]{40}\b", "<fp>", text)
+
+    def alarm(self, env, capsys, *command):
+        code, out, err = env.run(*env.user_args("alice"), *command, capsys=capsys)
+        assert out == ""
+        return code, self.masked(err)
+
+    @pytest.fixture
+    def contacts(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        return AttributeStore(env.store_path)
+
+    def test_substituted_identity_key(self, env, capsys, contacts):
+        env.run(*env.user_args("alice"), "fetch", "bob", "identity", capsys=capsys)
+        contacts.publish("bob", "ed25519_pub", generate_identity_keypair().public)
+        contacts.save()
+        assert self.alarm(env, capsys, "fetch", "bob", "identity") == (
+            EXIT_FINGERPRINT_MISMATCH,
+            "error[fingerprint-mismatch]: fingerprint mismatch for 'bob' "
+            "(identity-ed25519): tracked <fp>, fetched key has <fp>\n",
+        )
+
+    def test_forged_subkey(self, env, capsys, contacts):
+        contacts.publish("bob", "x25519_pub", generate_chat_keypair().public)
+        contacts.save()
+        assert self.alarm(env, capsys, "fetch", "bob", "chat") == (
+            EXIT_SIGNATURE_INVALID,
+            "error[signature-invalid]: signature verification failed for 'bob' "
+            "chat-x25519 key <fp>\n",
+        )
+
+    def test_rotation(self, env, capsys, contacts):
+        env.run(*env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys)
+        identity = load_own_material(env.home("bob")).identity
+        new_chat = generate_chat_keypair()
+        contacts.publish("bob", "x25519_pub", new_chat.public)
+        contacts.publish(
+            "bob",
+            "sig_x25519",
+            sign_public_key(identity, KeyType.CHAT_X25519, new_chat.public).sig,
+        )
+        contacts.save()
+        assert self.alarm(env, capsys, "fetch", "bob", "chat") == (
+            EXIT_KEY_CHANGED,
+            "error[key-changed-warning]: 'bob' chat-x25519 key changed from <fp> "
+            "to <fp> (signature valid); reset the record to accept\n",
+        )
+
+    def test_wrong_verify(self, env, capsys, contacts):
+        env.run(*env.user_args("alice"), "credentials", "bob", capsys=capsys)
+        assert self.alarm(env, capsys, "verify", "bob", "1" * 40) == (
+            EXIT_FINGERPRINT_MISMATCH,
+            "error[comparison-failed]: asserted fingerprint <fp> does not match "
+            "the one tracked for 'bob' (<fp>)\n"
+            "DO NOT TRUST 'bob' until the fingerprints match\n",
+        )
 
 
 class TestFileErrors:

@@ -81,9 +81,12 @@ _FP = Fingerprint(bytes(20))
 @pytest.mark.parametrize(
     "alarm, outcome",
     [
-        (FingerprintMismatchError("bob", _FP, _FP), OUTCOME_FINGERPRINT_MISMATCH),
         (
-            SignatureInvalidError("bob", KeyType.CHAT_X25519, _FP),
+            FingerprintMismatchError("bob", KeyType.CHAT_X25519, _FP, _FP),
+            OUTCOME_FINGERPRINT_MISMATCH,
+        ),
+        (
+            SignatureInvalidError("bob", KeyType.CHAT_X25519, None, _FP),
             OUTCOME_SIGNATURE_INVALID,
         ),
         (
