@@ -60,6 +60,10 @@ class _KeyAlarm(KeyAuthError):
         super().__init__(self.message.format_map(vars(self)))
         self.advice = self.advice.format_map(vars(self))
 
+    def __reduce__(self):
+        # Exception's own rebuilds from args, the one message
+        return type(self), (self.handle, self.key_type, self.tracked, self.observed)
+
 
 class FingerprintConflictError(_KeyAlarm):
     """A tracked fingerprint differs from the one being recorded.

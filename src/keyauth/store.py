@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -44,12 +45,12 @@ _FIXED_OCTETS = {
     **dict.fromkeys(SIGNATURE_ATTRIBUTES, SIGNATURE_OCTETS),
 }
 _RSA_ATTRIBUTE = KeyType.SHARING_RSA.key_attribute
-_RSA_KEYS = frozenset(("n", "e"))  # the modulus and exponent of an rsa_pub value
 # an rsa_pub value as save() writes it
 _RSA_VALUE = '{{\n        "e": "{e}",\n        "n": "{n}"\n      }}'
 
 # Canonical base64 (RFC 4648 section 3.5), keyed by octet count mod 3: the
 # last character before "==" or "=" carries 4 or 2 zero pad bits.
+_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _B64 = "[A-Za-z0-9+/]"
 _B64_LAST = {0: _B64, 1: "[AQgw]==", 2: "[AEIMQUYcgkosw048]="}
 
@@ -58,28 +59,30 @@ def _b64_chars(octets: int) -> int:
     return 4 * -(-octets // 3)
 
 
-def _b64_lines(lasts, lead: str = "") -> re.Pattern:
+def _b64_lines(lasts) -> re.Pattern:
     """A pattern for values joined by newlines, one value a line, each of
     alphabet characters ending in one of ``lasts``."""
-    line = f"{lead}{_B64}*(?:{'|'.join(lasts)})"
+    line = f"{_B64}*(?:{'|'.join(lasts)})"
     # line first: a lone value, as publish checks, matches without backtracking
     return re.compile(f"{line}(?:\n{line})*")
 
 
-# column -> (pattern its joined values must match, lengths a value may have);
-# the pattern checks the characters, the lengths check the size
+# column -> (pattern its values' last quanta must match, lengths a value may
+# have, pattern no value's first two characters may match, if any)
 _COLUMNS = {
     attribute: (
         _b64_lines([_B64_LAST[octets % 3]]),
         range(_b64_chars(octets), _b64_chars(octets) + 1),
+        None,
     )
     for attribute, octets in _FIXED_OCTETS.items()
 }
 # an RSA component is minimal (no leading zero octet, so no line starts
 # with "A" then A-P) and framed with a 2-octet length, so 1 to 0xFFFF octets
 _COLUMNS[f"{_RSA_ATTRIBUTE}.n"] = _COLUMNS[f"{_RSA_ATTRIBUTE}.e"] = (
-    _b64_lines(_B64_LAST.values(), lead="(?!A[A-P])"),
+    _b64_lines(_B64_LAST.values()),
     range(4, _b64_chars(0xFFFF) + 1, 4),
+    re.compile("^A[A-P]", re.MULTILINE),
 )
 
 
@@ -126,21 +129,27 @@ class AttributeStore:
             if document.keys() != {"users"}:
                 raise ValueError("the top-level object must hold only users")
             users = document["users"]
-            columns = {attribute: [] for attribute in VALID_ATTRIBUTES}
-            for handle, attributes in users.items():
+            records = users.values()
+            for handle in users:
                 checked_handle(handle)
-                for attribute, value in attributes.items():
-                    if attribute not in columns:
-                        raise PublishError(f"unknown attribute {attribute!r}")
-                    columns[attribute].append(value)
+            if not set(map(type, records)) <= {dict}:
+                raise TypeError("every user must be an object")
+            unknown = set().union(*records).difference(VALID_ATTRIBUTES)
+            if unknown:
+                raise PublishError(f"unknown attribute {min(unknown)!r}")
+            columns = {
+                attribute: [user[attribute] for user in records if attribute in user]
+                for attribute in VALID_ATTRIBUTES
+            }
             rsa = columns.pop(_RSA_ATTRIBUTE)
+            # KeyError or TypeError unless each rsa_pub is an object with n and e
+            for part in ("n", "e"):
+                columns[f"{_RSA_ATTRIBUTE}.{part}"] = [value[part] for value in rsa]
             # save() writes exactly n and e; the next save would lose anything more
-            if not all(isinstance(v, dict) and v.keys() == _RSA_KEYS for v in rsa):
+            if sum(map(len, rsa)) != 2 * len(rsa):
                 raise TypeError(
                     f"{_RSA_ATTRIBUTE} must be an object holding exactly n and e"
                 )
-            for part in ("n", "e"):
-                columns[f"{_RSA_ATTRIBUTE}.{part}"] = [value[part] for value in rsa]
             for name, values in columns.items():
                 _check_column(name, values)
             # json.loads keeps only the last value of a repeated key. Each
@@ -149,7 +158,7 @@ class AttributeStore:
             # repeats no key if its colons are one per kept member plus those
             # in the handles. Any other text is parsed again, pair by pair.
             # kept members: "users", the handles, their attributes, n and e
-            members = 1 + len(users) + sum(map(len, users.values())) + 2 * len(rsa)
+            members = 1 + len(users) + sum(map(len, records)) + 2 * len(rsa)
             if "\\" in text or text.count(":") != members + "".join(users).count(":"):
                 json.loads(text, object_pairs_hook=_unique_keys)
         except (
@@ -288,16 +297,24 @@ def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:
 
 def _check_column(name: str, values: list) -> None:
     """Raise ValueError unless every value of column ``name`` is canonical
-    base64 of a size the column allows."""
+    base64 of a size the column allows. Deleting the alphabet from the joined
+    values, in C, must leave only the newlines that join them and the padding
+    in their last four characters; those last quanta are then matched for the
+    padding and zero pad bits, and an RSA component's first two characters
+    for a leading zero octet."""
     if not values:
         return
-    pattern, lengths = _COLUMNS[name]
-    joined = "\n".join(values)  # TypeError if a value is not a string
-    # a value holding a newline would pass the pattern as two values
+    pattern, lengths, lead = _COLUMNS[name]
+    # TypeError if a value is not a string; UnicodeEncodeError, a ValueError,
+    # if it is not ASCII
+    residue = "\n".join(values).encode("ascii").translate(None, _ALPHABET)
+    lasts = "\n".join(map(itemgetter(slice(-4, None)), values))
     if (
-        joined.count("\n") != len(values) - 1
-        or not all(length in lengths for length in set(map(len, values)))
-        or pattern.fullmatch(joined) is None
+        not all(length in lengths for length in set(map(len, values)))
+        or len(residue) != len(values) - 1 + lasts.count("=")
+        or pattern.fullmatch(lasts) is None
+        or lead is not None
+        and lead.search("\n".join(map(itemgetter(slice(2)), values))) is not None
     ):
         raise ValueError(
             f"{name} holds a value that is not canonical base64 of a valid size"

@@ -2,7 +2,8 @@
 package. Nothing here imports from the package: the SHA-256 compression
 function, the Edwards and Montgomery curve arithmetic, and the bitwise CRC
 are all written from their public definitions, so agreement with the
-package is meaningful evidence rather than a tautology.
+package is meaningful evidence rather than a tautology. The store's
+base64 columns are held against whole-value patterns written from RFC 4648.
 
 (The Ed25519 oracle uses hashlib's SHA-512 for seed expansion; the
 fingerprint-relevant hash, SHA-256, is reimplemented below.)
@@ -11,6 +12,7 @@ fingerprint-relevant hash, SHA-256, is reimplemented below.)
 from __future__ import annotations
 
 import hashlib
+import re
 
 # -- SHA-256 compression function, FIPS 180-4 constants -----------------------
 
@@ -241,3 +243,51 @@ def build_ring_bytes(
     body += trailing
     crc = checksum if checksum is not None else crc32c_bitwise(bytes(body))
     return bytes(body) + crc.to_bytes(4, "big")
+
+
+# -- canonical base64 columns of the attribute store, RFC 4648 section 3.5 ----
+
+_B64 = "[A-Za-z0-9+/]"
+# keyed by octet count mod 3: the last character before "==" or "=" carries
+# 4 or 2 zero pad bits
+_B64_LAST = {0: _B64, 1: "[AQgw]==", 2: "[AEIMQUYcgkosw048]="}
+
+
+def _b64_chars(octets: int) -> int:
+    return 4 * -(-octets // 3)
+
+
+def _b64_lines(lasts, lead: str = "") -> re.Pattern:
+    line = f"{lead}{_B64}*(?:{'|'.join(lasts)})"
+    return re.compile(f"{line}(?:\n{line})*")
+
+
+# column -> (pattern its values, joined by newlines, must match whole;
+# lengths a value may have)
+BASE64_COLUMNS = {
+    attribute: (
+        _b64_lines([_B64_LAST[octets % 3]]),
+        range(_b64_chars(octets), _b64_chars(octets) + 1),
+    )
+    for attribute, octets in (
+        ("ed25519_pub", 32), ("x25519_pub", 32), ("sig_x25519", 64), ("sig_rsa", 64)
+    )
+}
+# an RSA component is minimal (no line starts with "A" then A-P, which
+# decodes to a leading zero octet) and 1 to 0xFFFF octets
+BASE64_COLUMNS["rsa_pub.n"] = BASE64_COLUMNS["rsa_pub.e"] = (
+    _b64_lines(_B64_LAST.values(), lead="(?!A[A-P])"),
+    range(4, _b64_chars(0xFFFF) + 1, 4),
+)
+
+
+def base64_column_ok(name: str, values: list[str]) -> bool:
+    """Whether every value of the store column ``name`` is canonical base64
+    of a size the column allows, each value matched whole."""
+    pattern, lengths = BASE64_COLUMNS[name]
+    joined = "\n".join(values)
+    return (
+        joined.count("\n") == len(values) - 1  # a newline would split a value
+        and all(len(value) in lengths for value in values)
+        and pattern.fullmatch(joined) is not None
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from types import ModuleType
 
 import pytest
@@ -96,3 +97,18 @@ def test_alarm_fields_and_text_are_golden(alarm_class, code, text, advice):
     assert exc.key_type is KeyType.CHAT_X25519
     assert exc.tracked == _TRACKED
     assert exc.observed == _OBSERVED
+
+
+@pytest.mark.parametrize(
+    "alarm_class", [alarm[0] for alarm in _ALARMS], ids=lambda cls: cls.__name__
+)
+def test_alarm_survives_a_pickle_round_trip(alarm_class):
+    # an alarm raised in a worker process reaches its parent pickled
+    exc = alarm_class("bob", KeyType.CHAT_X25519, _TRACKED, _OBSERVED)
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is alarm_class
+    assert copy.code == exc.code
+    fields = ("handle", "key_type", "tracked", "observed")
+    assert [getattr(copy, f) for f in fields] == [getattr(exc, f) for f in fields]
+    assert str(copy) == str(exc)
+    assert copy.advice == exc.advice

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyauth import (
@@ -23,7 +23,8 @@ from keyauth import (
     generate_identity_keypair,
 )
 from keyauth.keys import frame_rsa_public
-from keyauth.store import VALID_ATTRIBUTES
+from keyauth.store import VALID_ATTRIBUTES, _check_column
+from oracles import BASE64_COLUMNS, base64_column_ok
 
 
 _B64_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
@@ -75,8 +76,28 @@ _ATTRIBUTES = st.fixed_dictionaries(
 ).filter(bool)
 
 
+# one edit to a value: (kind, position, character); a position past the end wraps
+_EDIT = st.tuples(
+    st.sampled_from(["substitute", "insert", "delete"]),
+    st.integers(min_value=0),
+    st.sampled_from(_B64_ALPHABET + "=\né"),
+)
+
+
 def _b64(octets: bytes) -> str:
     return base64.b64encode(octets).decode("ascii")
+
+
+def _edited(value: str, edits) -> str:
+    for kind, position, char in edits:
+        at = position % (len(value) + 1)
+        if kind == "insert":
+            value = value[:at] + char + value[at:]
+        elif value:
+            at = min(at, len(value) - 1)
+            replacement = char if kind == "substitute" else ""
+            value = value[:at] + replacement + value[at + 1 :]
+    return value
 
 
 @pytest.fixture
@@ -382,6 +403,36 @@ class TestPersistence:
             largest, b"\x01\x00\x01"
         )
 
+    @pytest.mark.parametrize(
+        "document, opens",
+        [
+            *(({"users": {"bob": user}}, False)
+              for user in ([], "", None, 0, ["ed25519_pub"], "ed25519_pub")),
+            *(({"users": {"bob": {"ed25519_pub": value}}}, False)
+              for value in (None, "", {})),
+            *(({"users": {"bob": {"rsa_pub": value}}}, False)
+              for value in (None, [], "AQAB", {}, {"n": None, "e": "AQAB"})),
+            ({"users": []}, False),
+            ({"users": None}, False),
+            ([], False),
+            ({"users": {"": {}}}, False),
+            ({"users": {}}, True),
+            ({"users": {"bob": {}}}, True),
+        ],
+        ids=lambda value: json.dumps(value, separators=(",", ":")),
+    )
+    def test_open_takes_only_the_shapes_save_writes(self, tmp_path, document, opens):
+        # every user must be an object, every value a string, every rsa_pub
+        # an object of two strings, and users an object under a top-level one
+        path = tmp_path / "store.json"
+        path.write_text(json.dumps(document))
+        if opens:
+            AttributeStore(path).save()
+            assert json.loads(path.read_text()) == document
+        else:
+            with pytest.raises(StoreUnavailableError, match="^cannot load store"):
+                AttributeStore(path)
+
     @settings(max_examples=300, deadline=None)
     @given(
         attribute=st.sampled_from(VALID_ATTRIBUTES + ("tls_pub",)),
@@ -446,14 +497,7 @@ class TestPersistence:
     @given(
         column=st.sampled_from(["ed25519_pub", "sig_rsa", "rsa_pub.n"]),
         octets=st.binary(min_size=1, max_size=300),
-        edits=st.lists(
-            st.tuples(
-                st.sampled_from(["substitute", "insert", "delete"]),
-                st.integers(min_value=0),
-                st.sampled_from(_B64_ALPHABET + "=\né"),
-            ),
-            max_size=3,
-        ),
+        edits=st.lists(_EDIT, max_size=3),
         place=st.sampled_from(["alone", "first", "middle", "last"]),
     )
     def test_open_accepts_exactly_canonical_base64(
@@ -471,15 +515,7 @@ class TestPersistence:
             size = {"ed25519_pub": 32, "sig_rsa": 64}[attribute]
             octets = (octets * size)[:size]
             sizes, minimal = range(size, size + 1), False
-        value = _b64(octets)
-        for kind, position, char in edits:
-            at = position % (len(value) + 1)
-            if kind == "insert":
-                value = value[:at] + char + value[at:]
-            elif value:
-                at = min(at, len(value) - 1)
-                replacement = char if kind == "substitute" else ""
-                value = value[:at] + replacement + value[at + 1 :]
+        value = _edited(_b64(octets), edits)
 
         try:
             decoded = base64.b64decode(value, validate=True)
@@ -516,6 +552,41 @@ class TestPersistence:
         if attribute == "rsa_pub":
             decoded = frame_rsa_public(decoded, b"\x01\x00\x01")
         assert opened.fetch("b", attribute) == decoded
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BASE64_COLUMNS)),
+        octets=st.lists(st.binary(min_size=1, max_size=70), min_size=2, max_size=5),
+        targets=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+        edits=st.tuples(_EDIT, _EDIT),
+    )
+    # a padding character moved from one value's end into another's start
+    @example(
+        name="sig_rsa",
+        octets=[bytes(64), bytes(64)],
+        targets=(0, 0),
+        edits=(("substitute", 87, "A"), ("substitute", 0, "=")),
+    )
+    def test_two_edited_values_in_one_column(self, name, octets, targets, edits):
+        """The column check counts what deleting the alphabet leaves of the
+        whole column, so two bad values must not cancel out: with two of
+        its values edited, a column is refused exactly when the whole-value
+        reference refuses it."""
+        size = {"ed25519_pub": 32, "x25519_pub": 32}.get(name, 64)
+        if not name.startswith("rsa_pub."):
+            octets = [(part * size)[:size] for part in octets]
+        values = [_b64(part) for part in octets]
+        first = targets[0] % len(values)
+        second = (first + 1 + targets[1] % (len(values) - 1)) % len(values)
+        for index, edit in zip((first, second), edits):
+            values[index] = _edited(values[index], [edit])
+        expected = base64_column_ok(name, values)
+        try:
+            _check_column(name, values)
+        except ValueError:
+            assert not expected, values
+        else:
+            assert expected, values
 
     def test_empty_handle_in_file_raises(self, tmp_path):
         # publish refuses an empty handle, so the loader must too
