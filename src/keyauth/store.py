@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import base64
 import json
-import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
-from .authring import checked_handle
+from .authring import MAX_HANDLE_OCTETS, checked_handle
 from .errors import ParameterError, PublishError, StoreUnavailableError
 from .keys import (
     EC_KEY_OCTETS,
@@ -48,42 +47,26 @@ _RSA_ATTRIBUTE = KeyType.SHARING_RSA.key_attribute
 # an rsa_pub value as save() writes it
 _RSA_VALUE = '{{\n        "e": "{e}",\n        "n": "{n}"\n      }}'
 
-# Canonical base64 (RFC 4648 section 3.5), keyed by octet count mod 3: the
-# last character before "==" or "=" carries 4 or 2 zero pad bits.
+# Canonical base64 (RFC 4648 section 3.5). Each table for bytes.translate
+# maps the characters named to 1 and all others to 0.
 _ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_B64 = "[A-Za-z0-9+/]"
-_B64_LAST = {0: _B64, 1: "[AQgw]==", 2: "[AEIMQUYcgkosw048]="}
-
-
-def _b64_chars(octets: int) -> int:
-    return 4 * -(-octets // 3)
-
-
-def _b64_lines(lasts) -> re.Pattern:
-    """A pattern for values joined by newlines, one value a line, each of
-    alphabet characters ending in one of ``lasts``."""
-    line = f"{_B64}*(?:{'|'.join(lasts)})"
-    # line first: a lone value, as publish checks, matches without backtracking
-    return re.compile(f"{line}(?:\n{line})*")
-
-
-# column -> (pattern its values' last quanta must match, lengths a value may
-# have, pattern no value's first two characters may match, if any)
-_COLUMNS = {
-    attribute: (
-        _b64_lines([_B64_LAST[octets % 3]]),
-        range(_b64_chars(octets), _b64_chars(octets) + 1),
-        None,
+_PAD, _ZERO_1, _ZERO_2, _PAD_BITS_2, _PAD_BITS_4 = (
+    bytes(octet in chars for octet in range(256))
+    for chars in (
+        b"=",
+        b"A",  # a value that starts "A" then A-P starts with a zero octet
+        _ALPHABET[:16],
+        # a pad bit set: the last 2 of 6 bits before "=", the last 4 before "=="
+        bytes(c for i, c in enumerate(_ALPHABET) if i & 0b11),
+        bytes(c for i, c in enumerate(_ALPHABET) if i & 0b1111),
     )
-    for attribute, octets in _FIXED_OCTETS.items()
-}
-# an RSA component is minimal (no leading zero octet, so no line starts
-# with "A" then A-P) and framed with a 2-octet length, so 1 to 0xFFFF octets
-_COLUMNS[f"{_RSA_ATTRIBUTE}.n"] = _COLUMNS[f"{_RSA_ATTRIBUTE}.e"] = (
-    _b64_lines(_B64_LAST.values()),
-    range(4, _b64_chars(0xFFFF) + 1, 4),
-    re.compile("^A[A-P]", re.MULTILINE),
 )
+
+# column -> (octet counts a value may decode to, whether it must be minimal,
+# with no leading zero octet); an RSA component is, and has a 2-octet length
+_COLUMNS = {a: (range(n, n + 1), False) for a, n in _FIXED_OCTETS.items()} | {
+    f"{_RSA_ATTRIBUTE}.{part}": (range(1, 0x10000), True) for part in "ne"
+}
 
 
 @dataclass(frozen=True)
@@ -123,15 +106,20 @@ class AttributeStore:
         accepts."""
         # ValueError covers bad UTF-8 and JSON, and bad handles and values
         try:
-            text = self._path.read_text(encoding="utf-8")
+            # read_text would also translate newlines, which changes no
+            # verdict: CR is whitespace outside a string and refused inside one
+            text = self._path.read_bytes().decode("utf-8")
             document = json.loads(text)
             # save() writes only users; the next save would lose anything more
             if document.keys() != {"users"}:
                 raise ValueError("the top-level object must hold only users")
             users = document["users"]
             records = users.values()
-            for handle in users:
-                checked_handle(handle)
+            handles = "".join(users)
+            longest = max(map(len, users), default=0)
+            if "" in users or not handles.isascii() or longest > MAX_HANDLE_OCTETS:
+                for handle in users:  # for checked_handle's message
+                    checked_handle(handle)
             if not set(map(type, records)) <= {dict}:
                 raise TypeError("every user must be an object")
             unknown = set().union(*records).difference(VALID_ATTRIBUTES)
@@ -159,10 +147,11 @@ class AttributeStore:
             # in the handles. Any other text is parsed again, pair by pair.
             # kept members: "users", the handles, their attributes, n and e
             members = 1 + len(users) + sum(map(len, records)) + 2 * len(rsa)
-            if "\\" in text or text.count(":") != members + "".join(users).count(":"):
+            if "\\" in text or text.count(":") != members + handles.count(":"):
                 json.loads(text, object_pairs_hook=_unique_keys)
         except (
-            OSError, ValueError, KeyError, TypeError, AttributeError, PublishError
+            OSError, ValueError, KeyError, TypeError, AttributeError, PublishError,
+            RecursionError,
         ) as exc:
             raise StoreUnavailableError(f"cannot load store {self._path}: {exc}") from exc
         self._users = users
@@ -297,28 +286,54 @@ def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:
 
 def _check_column(name: str, values: list) -> None:
     """Raise ValueError unless every value of column ``name`` is canonical
-    base64 of a size the column allows. Deleting the alphabet from the joined
-    values, in C, must leave only the newlines that join them and the padding
-    in their last four characters; those last quanta are then matched for the
-    padding and zero pad bits, and an RSA component's first two characters
-    for a leading zero octet."""
+    base64 of a size the column allows. Sorted by length, joined by newlines
+    and encoded once, the values of one width w put their character k in the
+    stride slice ``data[start + k::w + 1]``, which a translate table turns
+    into a bit a value: so the last two characters give each value's padding
+    and size, and those before the padding its pad bits and a leading zero
+    octet. Deleting the alphabet must then leave only newlines and padding."""
     if not values:
         return
-    pattern, lengths, lead = _COLUMNS[name]
+    sizes, minimal = _COLUMNS[name]
     # TypeError if a value is not a string; UnicodeEncodeError, a ValueError,
     # if it is not ASCII
-    residue = "\n".join(values).encode("ascii").translate(None, _ALPHABET)
-    lasts = "\n".join(map(itemgetter(slice(-4, None)), values))
-    if (
-        not all(length in lengths for length in set(map(len, values)))
-        or len(residue) != len(values) - 1 + lasts.count("=")
-        or pattern.fullmatch(lasts) is None
-        or lead is not None
-        and lead.search("\n".join(map(itemgetter(slice(2)), values))) is not None
-    ):
-        raise ValueError(
-            f"{name} holds a value that is not canonical base64 of a valid size"
-        )
+    values = sorted(values, key=len)
+    data = "\n".join(values).encode("ascii")
+    padding = start = begin = 0
+    while begin < len(values):  # a group of values of one width a pass
+        width = len(values[begin])
+        end = bisect_right(values, width, begin, key=len)
+        if not width or width % 4:
+            break
+        step, count = width + 1, end - begin
+        stop, tail = start + count * step, start + width
+        pad1 = _bits(data[tail - 1 : stop : step], _PAD)  # values ending "="
+        pad2 = _bits(data[tail - 2 : stop : step], _PAD)  # and "=="
+        ones, twos = pad1.bit_count(), pad2.bit_count()
+        octets = width // 4 * 3  # less one an "="; sizes is a range
+        if (
+            pad2 & ~pad1
+            or pad1 & _bits(data[tail - 2 : stop : step], _PAD_BITS_2)
+            or pad2 & _bits(data[tail - 3 : stop : step], _PAD_BITS_4)
+            or octets - (ones > 0) - (twos > 0) not in sizes
+            or octets - (ones == count) - (twos == count) not in sizes
+            or minimal
+            and _bits(data[start:stop:step], _ZERO_1)
+            & _bits(data[start + 1 : stop : step], _ZERO_2)
+        ):
+            break
+        padding += ones + twos
+        start, begin = stop, end
+    else:
+        if len(data.translate(None, _ALPHABET)) == len(values) - 1 + padding:
+            return
+    raise ValueError(
+        f"{name} holds a value that is not canonical base64 of a valid size"
+    )
+
+
+def _bits(chars: bytes, table: bytes) -> int:
+    return int.from_bytes(chars.translate(table), "big")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -784,9 +784,11 @@ class TestFetch:
 
 
 def _corrupt_store(document, shape):
-    bob = document["users"]["bob"]
+    bob, alice = document["users"]["bob"], document["users"]["alice"]
     if shape == "not-json":
         return "{"
+    if shape == "deep-nesting":  # json.loads raises RecursionError, not ValueError
+        return '{"users": ' + "[" * 100000
     if shape == "bad-base64":
         bob["ed25519_pub"] = "!!!"
     elif shape == "short-ed25519":
@@ -799,6 +801,12 @@ def _corrupt_store(document, shape):
         bob["tls_pub"] = bob["ed25519_pub"]
     elif shape == "empty-handle":
         document["users"][""] = dict(bob)
+    # a user the command does not fetch: open still checks every value
+    elif shape == "other-user-pad-bits":
+        alice["ed25519_pub"] = alice["ed25519_pub"][:-2] + "B="
+    elif shape == "other-user-non-minimal-n":
+        n = base64.b64decode(alice["rsa_pub"]["n"])
+        alice["rsa_pub"]["n"] = base64.b64encode(b"\x00" + n).decode("ascii")
     return json.dumps(document)
 
 
@@ -816,6 +824,9 @@ class TestCorruptStore:
             "non-minimal-e",
             "unknown-attribute",
             "empty-handle",
+            "deep-nesting",
+            "other-user-pad-bits",
+            "other-user-non-minimal-n",
         ],
     )
     def test_fetch_and_init_exit_1_and_write_nothing(self, env, capsys, shape):

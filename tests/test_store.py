@@ -362,6 +362,28 @@ class TestPersistence:
         with pytest.raises(StoreUnavailableError):
             AttributeStore(path)
 
+    def test_carriage_returns_open_as_they_did_through_read_text(self, tmp_path):
+        # open decodes the bytes without read_text's newline translation: a CR
+        # is still whitespace between tokens and refused inside a string
+        path = tmp_path / "store.json"
+        store = AttributeStore(path)
+        store.publish("bob", "ed25519_pub", bytes(32))
+        store.save()
+        saved = path.read_bytes()
+        for newline in (b"\r\n", b"\r"):
+            path.write_bytes(saved.replace(b"\n", newline))
+            assert AttributeStore(path).fetch("bob", "ed25519_pub") == bytes(32)
+        path.write_bytes(saved.replace(b'"bob"', b'"b\rob"'))
+        with pytest.raises(StoreUnavailableError, match="^cannot load store"):
+            AttributeStore(path)
+
+    def test_deeply_nested_json_raises(self, tmp_path):
+        # json.loads raises RecursionError, not a ValueError, for this
+        path = tmp_path / "store.json"
+        path.write_text('{"users": ' + "[" * 100000)
+        with pytest.raises(StoreUnavailableError, match="^cannot load store"):
+            AttributeStore(path)
+
     def test_invalid_shapes_in_file_raise(self, tmp_path, rsa_pair):
         path = tmp_path / "store.json"
         n = base64.b64encode(rsa_pair.modulus_n).decode("ascii")
@@ -556,7 +578,7 @@ class TestPersistence:
     @settings(max_examples=400, deadline=None)
     @given(
         name=st.sampled_from(sorted(BASE64_COLUMNS)),
-        octets=st.lists(st.binary(min_size=1, max_size=70), min_size=2, max_size=5),
+        octets=st.lists(st.binary(min_size=1, max_size=70), min_size=2, max_size=40),
         targets=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
         edits=st.tuples(_EDIT, _EDIT),
     )
@@ -566,6 +588,27 @@ class TestPersistence:
         octets=[bytes(64), bytes(64)],
         targets=(0, 0),
         edits=(("substitute", 87, "A"), ("substitute", 0, "=")),
+    )
+    # one width, three paddings: "AQAB", "AQE=", "Aw==", edited to themselves
+    @example(
+        name="rsa_pub.e",
+        octets=[b"\x01\x00\x01", b"\x01\x01", b"\x03"],
+        targets=(0, 0),
+        edits=(("substitute", 0, "A"), ("substitute", 0, "A")),
+    )
+    # the same with "AQF=", whose last character before "=" sets a pad bit
+    @example(
+        name="rsa_pub.e",
+        octets=[b"\x01\x00\x01", b"\x01\x01", b"\x03"],
+        targets=(1, 0),
+        edits=(("substitute", 2, "F"), ("substitute", 0, "A")),
+    )
+    # a newline in place of one character keeps a fixed-size value's width
+    @example(
+        name="ed25519_pub",
+        octets=[bytes(32), bytes(32), bytes(32)],
+        targets=(1, 0),
+        edits=(("substitute", 20, "\n"), ("substitute", 0, "A")),
     )
     def test_two_edited_values_in_one_column(self, name, octets, targets, edits):
         """The column check counts what deleting the alphabet leaves of the
