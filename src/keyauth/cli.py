@@ -73,11 +73,15 @@ def group_fingerprint_hex(hex40: str) -> str:
 # <identity_dir>/<key type label>.sk    private key, one base64 line per init
 #                                       field of key_type.pair, in order
 # <identity_dir>/<key type label>.ring  serialised authentication ring
+# <identity_dir>/store.verified         one line: store.VERIFIED_TAG, a space
+#                                       and the SHA-256 hex of the last store
+#                                       bytes a read session fully validated
 #
 # Every file is read by _read and written by _write, which writes it at mode
 # 0600 and only when its bytes change. init writes the private key files and
-# creates the ring files that are absent; any other command writes only the
-# rings whose records it changed.
+# creates the ring files that are absent, and never touches store.verified; any
+# other command writes only the rings whose records it changed, and the
+# record after a store open that had to validate the file.
 
 def _read(path: Path) -> bytes | None:
     """The file's bytes, or None when it is absent."""
@@ -199,9 +203,24 @@ def _session(args) -> Iterator[Session]:
     follow a new identity pin. A save that fails then is reported on stderr
     and the load's error propagates, so a failed write never replaces an
     alarm. A ring is changed only when a record was added, upgraded or
-    removed, so a ring that was only read is not serialised at all."""
+    removed, so a ring that was only read is not serialised at all.
+
+    The store opens unvalidated when its bytes are those the identity dir's
+    store.verified records; a full open records them. The record only spares
+    work, so one that cannot be read counts as absent and one that cannot be
+    written is dropped without a word."""
     _require_home(args)
-    store = AttributeStore(args.store)
+    record = args.home / "store.verified"
+    try:
+        verified = _read(record) or b""
+    except InitError:
+        verified = b""
+    store = AttributeStore(args.store, verified=verified)
+    if store.record is not None:
+        try:
+            _write(record, store.record)
+        except InitError:
+            pass
 
     def load_ring(key_type: KeyType) -> AuthRing:
         # load_rings is looked up at each call, so a rebound name sees every load

@@ -11,6 +11,7 @@ per (handle, attribute) to make round-trip costs observable.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 from bisect import bisect_right
 from collections import Counter
@@ -46,6 +47,13 @@ _FIXED_OCTETS = {
 _RSA_ATTRIBUTE = KeyType.SHARING_RSA.key_attribute
 # an rsa_pub value as save() writes it
 _RSA_VALUE = '{{\n        "e": "{e}",\n        "n": "{n}"\n      }}'
+
+# A read session keeps, beside its rings, one line naming the last store bytes
+# that passed a full open: this tag, a space and their SHA-256 in hex. The tag
+# stands for the checks of _load and the layout save() writes; change it when
+# either changes, so that no record admits bytes the current checks never saw.
+# tests/test_store.py pins it to a digest of that code.
+VERIFIED_TAG = b"keyauth-store-v1"
 
 # Canonical base64 (RFC 4648 section 3.5). Each table for bytes.translate
 # maps the characters named to 1 and all others to 0.
@@ -89,26 +97,48 @@ class AttributeStore:
     always produces a byte-identical file.
     """
 
-    def __init__(self, path: str | Path | None = None):
+    def __init__(
+        self, path: str | Path | None = None, *, verified: bytes | None = None
+    ):
+        """``verified`` is the record a read session kept of the last store
+        bytes that passed a full open (``b""`` when it kept none). Bytes it
+        records are kept unparsed, and ``fetch`` parses one user's block of
+        them at a time. Any other file gets the full open, and then
+        ``record`` holds the line that would admit its bytes next time. With
+        ``verified=None`` the file is never hashed and ``record`` stays None.
+        """
         self._path = Path(path) if path is not None else None
-        # the JSON value save() writes for each attribute, decoded at fetch
+        # the JSON value save() writes for each attribute, decoded at fetch;
+        # while _data is set, only the users parsed from it so far
         self._users: dict[str, dict[str, str | dict[str, str]]] = {}
+        self._data: bytes | None = None
+        self.record: bytes | None = None
         self._counts: Counter[tuple[str, str]] = Counter()
         self._adversary: dict[tuple[str, str], bytes | None] = {}
         if self._path is not None and self._path.exists():
-            self._load()
+            self._load(verified)
 
     # -- persistence ---------------------------------------------------
 
-    def _load(self) -> None:
-        """Read the file, validating every value one attribute column at
-        a time: each must be what ``save`` writes for a value ``publish``
-        accepts."""
+    def _load(self, verified: bytes | None) -> None:
+        """Read the file. Keep bytes that ``verified`` records; validate any
+        others, every value one attribute column at a time: each must be
+        what ``save`` writes for a value ``publish`` accepts."""
         # ValueError covers bad UTF-8 and JSON, and bad handles and values
         try:
+            data = self._path.read_bytes()
+            record = None
+            if verified is not None:
+                record = b"%s %s\n" % (
+                    VERIFIED_TAG, hashlib.sha256(data).hexdigest().encode("ascii")
+                )
+                if record == verified:
+                    self._data = data
+                    return
             # read_text would also translate newlines, which changes no
             # verdict: CR is whitespace outside a string and refused inside one
-            text = self._path.read_bytes().decode("utf-8")
+            text = data.decode("utf-8")
+            del data  # hold one copy of the file while it is parsed, not two
             document = json.loads(text)
             # save() writes only users; the next save would lose anything more
             if document.keys() != {"users"}:
@@ -155,12 +185,21 @@ class AttributeStore:
         ) as exc:
             raise StoreUnavailableError(f"cannot load store {self._path}: {exc}") from exc
         self._users = users
+        self.record = record
+
+    def _parse(self) -> None:
+        """Parse the whole of a kept file, which passed every check before."""
+        if self._data is not None:
+            text = self._data.decode("utf-8")
+            self._data = None
+            self._users = json.loads(text)["users"]
 
     def save(self) -> None:
         """Write ``json.dumps({"users": ...}, indent=2, sort_keys=True)`` and a
         newline to the file, if any, rendered in full before open truncates it."""
         if self._path is None:
             return
+        self._parse()
         pieces = list(_render(self._users))
         try:
             with self._path.open("w", encoding="utf-8") as file:
@@ -174,6 +213,7 @@ class AttributeStore:
         """Set an attribute in memory, not in the file; last writer wins."""
         checked_handle(handle)
         value = _encode_attribute(attribute, octets)
+        self._parse()
         self._users.setdefault(handle, {})[attribute] = value
 
     def fetch(self, handle: str, attribute: str) -> bytes | None:
@@ -189,6 +229,12 @@ class AttributeStore:
         self._counts[key] += 1
         if key in self._adversary:
             return self._adversary[key]
+        if self._data is not None and handle not in self._users:
+            attributes = _user_block(self._data, handle)
+            if attributes is None:
+                self._parse()
+            else:
+                self._users[handle] = attributes
         value = self._users.get(handle, {}).get(attribute)
         return None if value is None else _decode_attribute(attribute, value)
 
@@ -256,23 +302,52 @@ def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:
 
 def _render(users: Mapping[str, Mapping]):
     """Yield ``json.dumps({"users": users}, indent=2, sort_keys=True) + "\\n"``
-    a user a piece, without the pure-Python encoder ``indent`` selects: json's C
-    quoter quotes handles, and values are canonical base64, which needs no escape."""
+    a user a piece, without the pure-Python encoder ``indent`` selects."""
     lead = '{\n  "users": {\n    '
     for handle, attributes in sorted(users.items()):
-        fields = []
-        for attribute in _SORTED_ATTRIBUTES:
-            if attribute in attributes:
-                value = attributes[attribute]
-                if attribute == _RSA_ATTRIBUTE:
-                    value = _RSA_VALUE.format_map(value)
-                else:
-                    value = f'"{value}"'
-                fields.append(f'"{attribute}": {value}')
-        body = "{\n      " + ",\n      ".join(fields) + "\n    }" if fields else "{}"
-        yield f"{lead}{encode_basestring_ascii(handle)}: {body}"
+        yield lead + _render_user(handle, attributes)
         lead = ",\n    "
     yield "\n  }\n}\n" if users else '{\n  "users": {}\n}\n'
+
+
+def _render_user(handle: str, attributes: Mapping) -> str:
+    """One user as ``save`` writes it, from the quoted handle to the closing
+    brace: json's C quoter quotes the handle, and values are canonical
+    base64, which needs no escape."""
+    fields = []
+    for attribute in _SORTED_ATTRIBUTES:
+        if attribute in attributes:
+            value = attributes[attribute]
+            if attribute == _RSA_ATTRIBUTE:
+                value = _RSA_VALUE.format_map(value)
+            else:
+                value = f'"{value}"'
+            fields.append(f'"{attribute}": {value}')
+    body = "{\n      " + ",\n      ".join(fields) + "\n    }" if fields else "{}"
+    return f"{encode_basestring_ascii(handle)}: {body}"
+
+
+def _user_block(data: bytes, handle: str) -> dict | None:
+    """The attributes of ``handle`` parsed from its block alone in ``data``,
+    a file that passed a full open; None unless that block is byte for byte
+    what ``save`` writes for them. In such a file a newline lies outside every
+    string, so a newline and four spaces before the quoted handle and ": "
+    open a member, and one whose value renders as a user's block is that
+    user's: no other object of a valid store maps attributes to values."""
+    key = encode_basestring_ascii(handle).encode("ascii")
+    start = data.find(b"\n    " + key + b": ") + 5
+    if start < 5:
+        return None
+    body = start + len(key) + 2
+    end = data.find(b"\n    }", body) + 6  # a user with no attributes fails below
+    try:
+        attributes = json.loads(data[body:end])
+        if _render_user(handle, attributes).encode() == data[start:end]:
+            return attributes
+    # a block that is no user's may not parse, or hold values that do not render
+    except (ValueError, TypeError, KeyError, AttributeError):
+        pass
+    return None
 
 
 def _decode_attribute(attribute: str, value: str | dict[str, str]) -> bytes:

@@ -7,6 +7,7 @@ asserted directly.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,7 @@ from keyauth import (
     generate_identity_keypair,
     sign_public_key,
 )
+from keyauth import store as store_module
 from keyauth.cli import (
     EXIT_ERROR,
     EXIT_FINGERPRINT_MISMATCH,
@@ -498,6 +501,24 @@ class TestWritePolicy:
         assert serialised == []
         self.assert_untouched(before)
 
+    def test_store_record_is_written_once_at_0600(self, env, capsys):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        record = env.home("alice") / "store.verified"
+        assert not record.exists()
+        alice = env.user_args("alice")
+        code, _, err = env.run(*alice, "fetch", "bob", "chat", capsys=capsys)
+        assert code == EXIT_OK, err
+        digest = hashlib.sha256(env.store_path.read_bytes()).hexdigest()
+        assert record.read_bytes() == f"keyauth-store-v1 {digest}\n".encode()
+        assert stat.S_IMODE(os.stat(record).st_mode) == 0o600
+        os.utime(record, ns=(10**18, 10**18))  # any rewrite moves mtime off this
+        before = [(record, os.stat(record), record.read_bytes())]
+        for command in (["fetch", "bob", "chat"], ["credentials", "bob"]):
+            code, _, err = env.run(*alice, *command, capsys=capsys)
+            assert code == EXIT_OK, err
+            self.assert_untouched(before)
+
     def test_ring_read_but_unchanged_keeps_its_mode(self, env, capsys):
         # only a write sets mode 0600, and an unchanged ring is not written
         init_user(env, capsys, "alice")
@@ -833,17 +854,24 @@ class TestCorruptStore:
         init_user(env, capsys, "bob")
         init_user(env, capsys, "alice")
         env.run(*env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys)
+        # the fetch recorded the store's bytes before they were corrupted
+        record = env.home("alice") / "store.verified"
+        assert record.exists()
         document = json.loads(env.store_path.read_text())
         env.store_path.write_text(_corrupt_store(document, shape))
-        files = [env.store_path]
+        files = [env.store_path, record]
         for user in ("alice", "bob"):
             files += sorted(env.home(user).glob("*.ring"))
             files += sorted(env.home(user).glob("*.sk"))
-        assert len(files) == 13
+        assert len(files) == 14
         for path in files:
             os.utime(path, ns=(10**18, 10**18))  # any rewrite moves mtime off this
         before = [(path, os.stat(path), path.read_bytes()) for path in files]
-        for command in (["fetch", "bob", "chat"], ["init"]):
+        # a fetch with the stale record, init, then a fetch with no record
+        for command in (["fetch", "bob", "chat"], ["init"], ["fetch", "bob", "chat"]):
+            if command == ["init"]:
+                record.unlink()
+                del before[1]
             code, out, err = env.run(
                 *env.user_args("alice"), *command, capsys=capsys
             )
@@ -851,6 +879,109 @@ class TestCorruptStore:
             assert out == ""
             assert err.startswith("error[store-unavailable]: cannot load store"), err
             TestWritePolicy.assert_untouched(before)
+        assert not record.exists()
+
+
+class TestStoreRecord:
+    """A read command opens the store bytes that the identity dir's
+    store.verified names without checking them again; any other record, or
+    none, costs a full open and changes nothing else."""
+
+    @staticmethod
+    def record_checks(monkeypatch):
+        checked = []
+        check = store_module._check_column
+
+        def recording_check(name, values):
+            checked.append(name)
+            return check(name, values)
+
+        monkeypatch.setattr(store_module, "_check_column", recording_check)
+        return checked
+
+    @pytest.mark.parametrize(
+        "shape", ["recorded", "absent", "truncated", "other-tag", "stale", "garbage"]
+    )
+    def test_only_the_recorded_bytes_open_unchecked(
+        self, env, capsys, monkeypatch, shape
+    ):
+        init_user(env, capsys, "alice")
+        init_user(env, capsys, "bob")
+        fetch = [*env.user_args("alice"), "fetch", "bob", "chat"]
+        assert env.run(*fetch, capsys=capsys)[0] == EXIT_OK
+        record = env.home("alice") / "store.verified"
+        good = record.read_bytes()
+        if shape == "absent":
+            record.unlink()
+        elif shape == "truncated":
+            record.write_bytes(good[:-9])
+        elif shape == "other-tag":
+            record.write_bytes(good.replace(b"-v1 ", b"-v0 "))
+        elif shape == "stale":
+            last = b"1" if good[-2:-1] == b"0" else b"0"
+            record.write_bytes(good[:-2] + last + b"\n")  # names other bytes
+        elif shape == "garbage":
+            record.write_bytes(b"\xff" * 4096)
+        checked = self.record_checks(monkeypatch)
+        opened = env.run(*fetch, capsys=capsys)
+        assert opened[0] == EXIT_OK, opened
+        assert bool(checked) == (shape != "recorded")
+        assert record.read_bytes() == good
+        checked.clear()
+        assert env.run(*fetch, capsys=capsys) == opened
+        assert checked == []
+
+    def test_init_leaves_a_garbage_record_alone(self, env, capsys, monkeypatch):
+        home = env.home("alice")
+        home.mkdir()
+        record = home / "store.verified"
+        record.write_bytes(b"garbage\n")
+        os.chmod(record, 0o644)
+        os.utime(record, ns=(10**18, 10**18))  # any rewrite moves mtime off this
+        before = [(record, os.stat(record), record.read_bytes())]
+
+        def refuse(data):
+            raise AssertionError("init hashed the store")
+
+        monkeypatch.setattr(store_module, "hashlib", SimpleNamespace(sha256=refuse))
+        init_user(env, capsys, "bob")
+        assert "publish" in init_user(env, capsys, "alice")
+        assert init_user(env, capsys, "alice").strip() == "nothing to repair"
+        TestWritePolicy.assert_untouched(before)
+        assert stat.S_IMODE(os.stat(record).st_mode) == 0o644
+
+    @pytest.mark.parametrize("fault", ["write-fails", "directory"])
+    def test_a_record_that_cannot_be_kept_changes_no_output(
+        self, env, capsys, monkeypatch, fault
+    ):
+        for user in ("bob", "alice", "carol"):
+            init_user(env, capsys, user)
+        record = env.home("alice") / "store.verified"
+        if fault == "directory":
+            record.mkdir()
+        else:
+            # as root, a mode that forbids the write would not stop it
+            real_open = os.open
+
+            def failing_open(path, *args, **kwargs):
+                if Path(path) == record:
+                    raise PermissionError(13, "Permission denied", str(path))
+                return real_open(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", failing_open)
+        commands = [
+            ["fetch", "bob", "chat"],
+            ["fetch", "bob", "chat"],
+            ["--machine", "credentials", "bob"],
+            ["verify", "bob", "0" * 40],
+        ]
+        for command in commands:
+            # carol's record is written as usual
+            assert env.run(*env.user_args("alice"), *command, capsys=capsys) == env.run(
+                *env.user_args("carol"), *command, capsys=capsys
+            )
+        assert not record.is_file()
+        assert (env.home("carol") / "store.verified").is_file()
 
 
 class TestMissingHome:

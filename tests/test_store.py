@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import base64
+import hashlib
+import inspect
 import json
+import random
 import re
 import secrets
 import string
@@ -22,6 +25,8 @@ from keyauth import (
     generate_chat_keypair,
     generate_identity_keypair,
 )
+from keyauth import authring
+from keyauth import store as store_module
 from keyauth.keys import frame_rsa_public
 from keyauth.store import VALID_ATTRIBUTES, _check_column
 from oracles import BASE64_COLUMNS, base64_column_ok
@@ -98,6 +103,27 @@ def _edited(value: str, edits) -> str:
             replacement = char if kind == "substitute" else ""
             value = value[:at] + replacement + value[at + 1 :]
     return value
+
+
+def _stored(attributes) -> dict:
+    """attribute -> (the JSON value save() writes, the octets publish takes),
+    for attributes drawn from _ATTRIBUTES."""
+    stored = {}
+    for attribute, octets in attributes.items():
+        if attribute == "rsa_pub":
+            n, e = octets
+            stored[attribute] = ({"n": _b64(n), "e": _b64(e)}, frame_rsa_public(n, e))
+        else:
+            stored[attribute] = (_b64(octets), octets)
+    return stored
+
+
+def _values(users) -> dict:
+    """The users object of the store file holding ``users``."""
+    return {
+        handle: {attribute: value for attribute, (value, _) in _stored(a).items()}
+        for handle, a in users.items()
+    }
 
 
 @pytest.fixture
@@ -811,22 +837,14 @@ class TestFileFormat:
     @settings(max_examples=100, deadline=None)
     @given(users=st.dictionaries(_HANDLES, _ATTRIBUTES, max_size=4))
     def test_save_writes_what_json_dumps_writes(self, users):
-        expected = {}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "store.json")
             store = AttributeStore(path)
             for handle, attributes in users.items():
-                for attribute, octets in attributes.items():
-                    if attribute == "rsa_pub":
-                        n, e = octets
-                        value = {"n": _b64(n), "e": _b64(e)}
-                        octets = frame_rsa_public(n, e)
-                    else:
-                        value = _b64(octets)
+                for attribute, (_, octets) in _stored(attributes).items():
                     store.publish(handle, attribute, octets)
-                    expected.setdefault(handle, {})[attribute] = value
             store.save()
-            assert path.read_bytes() == self.oracle(expected)
+            assert path.read_bytes() == self.oracle(_values(users))
 
     @pytest.mark.parametrize(
         "users",
@@ -840,3 +858,200 @@ class TestFileFormat:
         path.write_text(json.dumps({"users": users}, separators=(",", ":")))
         AttributeStore(path).save()
         assert path.read_bytes() == self.oracle(users)
+
+
+def _record(path: Path) -> bytes:
+    """The record a read session keeps of the file, made by a full open."""
+    record = AttributeStore(path, verified=b"").record
+    assert record == b"keyauth-store-v1 %s\n" % (
+        hashlib.sha256(path.read_bytes()).hexdigest().encode("ascii")
+    )
+    return record
+
+
+class TestVerifiedOpen:
+    """A file whose record a read session kept opens without its checks and
+    answers every fetch, and every save, as a full open of it does."""
+
+    # valid layouts of a users object; "save" is the file save() writes
+    LAYOUTS = {
+        "save": lambda users: json.dumps({"users": users}, indent=2, sort_keys=True)
+        + "\n",
+        "indent-4": lambda users: json.dumps(
+            {"users": users}, indent=4, sort_keys=True
+        ),
+        "compact": lambda users: json.dumps({"users": users}, separators=(",", ":")),
+        "crlf": lambda users: json.dumps({"users": users}, indent=2, sort_keys=True)
+        .replace("\n", "\r\n"),
+        # reversed attributes, and n before e, in save()'s indentation
+        "out-of-order": lambda users: json.dumps(
+            {"users": {h: dict(reversed(a.items())) for h, a in users.items()}},
+            indent=2,
+        ),
+        "raw-non-ascii": lambda users: json.dumps(
+            {"users": users}, indent=2, sort_keys=True, ensure_ascii=False
+        ),
+    }
+    # names that are also keys of the other objects of a store file
+    HANDLES = st.one_of(_HANDLES, st.sampled_from(["users", "rsa_pub", "e"]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        users=st.dictionaries(HANDLES, _ATTRIBUTES | st.just({}), max_size=4),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        extra=HANDLES,
+        published=st.lists(st.tuples(HANDLES, _ATTRIBUTES), max_size=3),
+        order=st.randoms(use_true_random=False),
+    )
+    # the quoted key of 'b' lies inside that of 'a"b', escaped quote first
+    @example(
+        users={'a"b': {"ed25519_pub": bytes(32)}},
+        layout="save",
+        extra="b",
+        published=[],
+        order=random.Random(0),
+    )
+    def test_a_kept_file_fetches_and_saves_as_a_full_open_does(
+        self, users, layout, extra, published, order
+    ):
+        # present and absent handles, among them each handle's tail after a
+        # quote or before its last character, and the file's top-level key
+        handles = [*users, extra, "users"]
+        handles += [h.rpartition('"')[2] for h in users] + [h[:-1] for h in users]
+        handles = [handle for handle in dict.fromkeys(handles) if handle]
+        order.shuffle(handles)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp, name) for name in ("kept.json", "full.json")]
+            for path in paths:
+                path.write_text(self.LAYOUTS[layout](_values(users)), encoding="utf-8")
+            record = _record(paths[0])
+            kept = AttributeStore(paths[0], verified=record)
+            full = AttributeStore(paths[1])
+            assert kept.record is None
+            for handle in handles:
+                # a whole parse answers every later fetch, so a fresh store
+                # also asks for each handle first
+                alone = AttributeStore(paths[0], verified=record)
+                for attribute in VALID_ATTRIBUTES:
+                    expected = full.fetch(handle, attribute)
+                    assert alone.fetch(handle, attribute) == expected
+                    assert kept.fetch(handle, attribute) == expected
+            # publish to a store that has parsed one user at most
+            kept = AttributeStore(paths[0], verified=record)
+            kept.fetch(handles[0], "ed25519_pub")
+            for store in (kept, full):
+                for handle, attributes in published:
+                    for attribute, (_, octets) in _stored(attributes).items():
+                        store.publish(handle, attribute, octets)
+                store.save()
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("fetched", [True, False], ids=["fetched", "unread"])
+    def test_a_kept_file_saves_as_a_full_open_does(self, tmp_path, fetched):
+        path = tmp_path / "store.json"
+        path.write_text(self.LAYOUTS["compact"]({"bob": {}, "carol": {}}))
+        store = AttributeStore(path, verified=_record(path))
+        if fetched:
+            assert store.fetch("bob", "sig_rsa") is None
+        store.save()
+        assert path.read_bytes() == (
+            b'{\n  "users": {\n    "bob": {},\n    "carol": {}\n  }\n}\n'
+        )
+
+    def test_a_kept_saved_file_parses_only_the_users_fetched(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.json"
+        store = AttributeStore(path)
+        store.publish('zo\u00eb "z"', "x25519_pub", bytes(range(32)))
+        store.publish("bob", "ed25519_pub", bytes(32))
+        store.publish("bob", "rsa_pub", frame_rsa_public(b"\x01\x00\x01", b"\x03"))
+        store.publish("carol", "sig_x25519", bytes(64))
+        store.save()
+        record = _record(path)
+
+        def refuse(*args):
+            raise AssertionError("a check or the whole parse ran")
+
+        monkeypatch.setattr("keyauth.store._check_column", refuse)
+        monkeypatch.setattr(AttributeStore, "_parse", refuse)
+        kept = AttributeStore(path, verified=record)
+        assert kept.fetch('zo\u00eb "z"', "x25519_pub") == bytes(range(32))
+        rsa_pub = frame_rsa_public(b"\x01\x00\x01", b"\x03")
+        assert kept.fetch("bob", "rsa_pub") == rsa_pub
+        assert kept.fetch("bob", "sig_rsa") is None
+        monkeypatch.undo()
+        assert kept.fetch("dave", "sig_rsa") is None  # absent: the whole parse
+
+    @pytest.mark.parametrize(
+        "verified",
+        [
+            b"",
+            b"keyauth-store-v1 ",
+            b"keyauth-store-v0 %s\n",
+            b"keyauth-store-v1 %s",
+            b"keyauth-store-v1 %s\n" % hashlib.sha256(b"").hexdigest().encode(),
+        ],
+        ids=["absent", "truncated", "other-tag", "no-newline", "stale"],
+    )
+    def test_any_other_record_gets_the_full_open(self, tmp_path, verified):
+        path = tmp_path / "store.json"
+        store = AttributeStore(path)
+        store.publish("bob", "ed25519_pub", bytes(32))
+        store.save()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        if b"%s" in verified:
+            verified %= digest
+        opened = AttributeStore(path, verified=verified)
+        assert opened.record == _record(path)
+        # a record admits only the bytes it names: others get the full open
+        path.write_text(json.dumps({"users": {"bob": {"ed25519_pub": "!"}}}))
+        with pytest.raises(StoreUnavailableError, match="cannot load store"):
+            AttributeStore(path, verified=opened.record)
+
+    def test_a_missing_file_or_no_record_hashes_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+
+        def refuse(*args):
+            raise AssertionError("the file was hashed")
+
+        monkeypatch.setattr("keyauth.store.hashlib.sha256", refuse)
+        assert AttributeStore(path, verified=b"").record is None
+        store = AttributeStore(path)
+        store.publish("bob", "sig_rsa", bytes(64))
+        store.save()
+        assert AttributeStore(path).record is None
+
+    def test_the_tag_is_pinned_to_the_checks_and_the_layout(self):
+        # A record admits bytes without the checks that passed them, so it
+        # holds only while the tag changes with the code that decides what
+        # passes and how save() lays a file out. An edit to any of it fails
+        # here: if it can change a verdict or the layout, change VERIFIED_TAG,
+        # then pin the new digest beside the tag.
+        functions = (
+            AttributeStore._load,
+            store_module._check_column,
+            store_module._bits,
+            store_module._unique_keys,
+            store_module._render,
+            store_module._render_user,
+            store_module._user_block,
+            authring.checked_handle,
+        )
+        constants = (
+            authring.MAX_HANDLE_OCTETS,
+            VALID_ATTRIBUTES,
+            store_module._COLUMNS,
+            store_module._RSA_VALUE,
+            store_module._PAD,
+            store_module._ZERO_1,
+            store_module._ZERO_2,
+            store_module._PAD_BITS_2,
+            store_module._PAD_BITS_4,
+        )
+        code = [inspect.getsource(function) for function in functions]
+        digest = hashlib.sha256(repr((code, constants)).encode()).hexdigest()
+        assert (store_module.VERIFIED_TAG, digest) == (
+            b"keyauth-store-v1",
+            "4fcb39b73ae6697db423ebce0faf9dcbd07b8f5adacb24c45924b38fe6600935",
+        )
