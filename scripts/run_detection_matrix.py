@@ -32,11 +32,7 @@ from pathlib import Path
 # allow running from a source checkout, from any working directory
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from keyauth.scenarios import (
-    SCENARIO_NAMES,
-    build_rsa_pool,
-    run_scenario_batch,
-)
+from keyauth.scenarios import SCENARIO_NAMES, build_rsa_pool, run_scenario
 
 
 def run_matrix(reps: int, seed: int | None) -> dict:
@@ -45,7 +41,7 @@ def run_matrix(reps: int, seed: int | None) -> dict:
     rows = []
     started = time.perf_counter()
     for name in SCENARIO_NAMES:
-        reports = run_scenario_batch(name, reps, rng=rng, rsa_pool=pool)
+        reports = [run_scenario(name, rng, pool) for _ in range(reps)]
         observed = collections.Counter(report.observed for report in reports)
         rows.append(
             {

@@ -68,12 +68,8 @@ from .scenarios import (
     SCENARIO_NAMES,
     ScenarioReport,
     run_scenario,
-    run_scenario_batch,
 )
-from .store import (
-    AttributeStore,
-    StoreStats,
-)
+from .store import AttributeStore
 from .workflow import (
     LoadedKey,
     OwnKeyMaterial,

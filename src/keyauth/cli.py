@@ -30,7 +30,7 @@ from .errors import (
     SignatureInvalidError,
 )
 from .keys import KeyType, fingerprint_ec
-from .scenarios import SCENARIO_NAMES, run_scenario_batch
+from .scenarios import SCENARIO_NAMES, build_rsa_pool, run_scenario
 from .store import AttributeStore
 from .workflow import PUBLISH, OwnKeyMaterial, Session, init_own_keys
 
@@ -324,7 +324,7 @@ def cmd_fetch(args) -> int:
         ("key type", key_type.label),
         ("public key", base64.b64encode(loaded.public_octets).decode("ascii")),
         ("method", loaded.method.label),
-        ("fetches", str(session.store.stats().total)),
+        ("fetches", str(session.store.fetches.total())),
     ]
     if args.machine:
         print("\t".join(value for _, value in fields))
@@ -362,7 +362,9 @@ def cmd_ring(args) -> int:
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise _UsageError("--reps must be at least 1")
-    reports = run_scenario_batch(args.scenario, args.reps, random.Random(args.seed))
+    rng = random.Random(args.seed)
+    pool = build_rsa_pool() if args.reps > 1 else None
+    reports = [run_scenario(args.scenario, rng, pool) for _ in range(args.reps)]
     for rep, report in enumerate(reports, 1):
         status = "ok" if report.ok else "UNEXPECTED"
         expected = "|".join(report.expected)

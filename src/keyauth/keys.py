@@ -170,12 +170,9 @@ class KeySignature:
     """Ed25519 signature by an identity key over a sub-key's payload."""
 
     sig: bytes
-    signed_key_type: KeyType
 
     def __post_init__(self):
         _require_octets("signature", self.sig, SIGNATURE_OCTETS)
-        if self.signed_key_type is KeyType.IDENTITY_ED25519:
-            raise ParameterError("the identity key is never signed")
 
 
 def _require_octets(name: str, value: bytes, length: int) -> None:
@@ -420,7 +417,7 @@ def sign_public_key(
     """Attest a sub-key's public octets with the identity key."""
     payload = canonical_payload(key_type, public_octets)
     signer = Ed25519PrivateKey.from_private_bytes(identity.private)
-    return KeySignature(sig=signer.sign(payload), signed_key_type=key_type)
+    return KeySignature(sig=signer.sign(payload))
 
 
 def verify_key_signature(

@@ -115,7 +115,7 @@ def run_scenario(
     alarm that load raises, if any, is the observed outcome; the notes
     record what the verifier's rings hold afterwards.
 
-    RSA generation dominates setup cost, so batch runs may hand in a pool
+    RSA generation dominates setup cost, so repeated runs may hand in a pool
     of sharing pairs, of which victim and attacker draw distinct members.
     Handles, EC keys and choices are fresh and driven by ``rng``.
     """
@@ -180,7 +180,7 @@ def run_scenario(
     else:
         forged = generate_chat_keypair().public
     store.set_adversary({(handle, attribute): forged})
-    store.reset_stats()
+    store.fetches.clear()
     report.observed, value = _classify(load)
     record = ring.get(handle)
 
@@ -190,7 +190,7 @@ def run_scenario(
             "reload still reports signature-verified strength",
         )
         report.check(
-            store.stats().total == 1,
+            store.fetches.total() == 1,
             "verified key reloads in a single fetch, so the stripped signature "
             "is never even requested",
         )
@@ -234,20 +234,7 @@ def run_scenario(
 
 
 def build_rsa_pool() -> list[SharingKeyPair]:
-    """Pregenerate four sharing pairs for batch runs; generation dominates the
+    """Pregenerate four sharing pairs for repeated runs; generation dominates the
     cost of a scenario, and detection logic never depends on RSA freshness."""
     return [generate_sharing_keypair() for _ in range(4)]
 
-
-def run_scenario_batch(
-    name: str,
-    reps: int,
-    rng: random.Random | None = None,
-    rsa_pool: Sequence[SharingKeyPair] | None = None,
-) -> list[ScenarioReport]:
-    if reps < 1:
-        raise ParameterError("reps must be at least 1")
-    rng = rng if rng is not None else random.Random()
-    if rsa_pool is None and reps > 1:
-        rsa_pool = build_rsa_pool()
-    return [run_scenario(name, rng, rsa_pool) for _ in range(reps)]

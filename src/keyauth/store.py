@@ -5,7 +5,7 @@ store stands in for it. Stored truth stays intact on disk while an
 optional adversary, a table from (handle, attribute) to what a fetch
 returns, tampers with fetch results, so tests and scenarios can model a
 man-in-the-middle without corrupting the fixture. Every fetch is counted
-per (handle, attribute) to make round-trip costs observable.
+in ``fetches`` per (handle, attribute) to make round-trip costs observable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import hashlib
 import json
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
@@ -77,17 +76,6 @@ _COLUMNS = {a: (range(n, n + 1), False) for a, n in _FIXED_OCTETS.items()} | {
 }
 
 
-@dataclass(frozen=True)
-class StoreStats:
-    """Snapshot of fetch counters."""
-
-    total: int
-    per_attribute: Mapping[tuple[str, str], int] = field(default_factory=dict)
-
-    def count(self, handle: str, attribute: str) -> int:
-        return self.per_attribute.get((handle, attribute), 0)
-
-
 class AttributeStore:
     """Key-value store of per-user public attributes, JSON-backed.
 
@@ -113,7 +101,7 @@ class AttributeStore:
         self._users: dict[str, dict[str, str | dict[str, str]]] = {}
         self._data: bytes | None = None
         self.record: bytes | None = None
-        self._counts: Counter[tuple[str, str]] = Counter()
+        self.fetches: Counter[tuple[str, str]] = Counter()
         self._adversary: dict[tuple[str, str], bytes | None] = {}
         if self._path is not None and self._path.exists():
             self._load(verified)
@@ -220,13 +208,15 @@ class AttributeStore:
         """Read an attribute as seen over the wire; absent values are None.
 
         An adversary rule for (handle, attribute), if any, answers in
-        place of the stored value. Every call is counted, including
-        fetches of absent attributes.
+        place of the stored value. Every call that passes its arguments'
+        checks is counted, including fetches of absent attributes.
         """
+        if not isinstance(handle, str):
+            raise ParameterError("handle must be a string")
         if attribute not in VALID_ATTRIBUTES:
             raise ParameterError(f"unknown attribute {attribute!r}")
         key = (handle, attribute)
-        self._counts[key] += 1
+        self.fetches[key] += 1
         if key in self._adversary:
             return self._adversary[key]
         if self._data is not None and handle not in self._users:
@@ -238,7 +228,7 @@ class AttributeStore:
         value = self._users.get(handle, {}).get(attribute)
         return None if value is None else _decode_attribute(attribute, value)
 
-    # -- adversary and accounting ----------------------------------------
+    # -- adversary -------------------------------------------------------
 
     def set_adversary(self, rules: Mapping[tuple[str, str], bytes | None]) -> None:
         """Replace the adversary: a fetch of (handle, attribute) in ``rules``
@@ -263,12 +253,6 @@ class AttributeStore:
                 except PublishError as exc:
                     raise ParameterError(f"invalid replacement: {exc}") from exc
         self._adversary = dict(rules)
-
-    def stats(self) -> StoreStats:
-        return StoreStats(sum(self._counts.values()), dict(self._counts))
-
-    def reset_stats(self) -> None:
-        self._counts.clear()
 
 
 def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:

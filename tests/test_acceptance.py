@@ -172,17 +172,17 @@ def test_criterion_5_round_trip_minimality(rsa_pair):
     init_own_keys(store, "bob", existing=OwnKeyMaterial(sharing=rsa_pair))
     for key_type in (KeyType.CHAT_X25519, KeyType.SHARING_RSA):
         alice = Session(store)
-        store.reset_stats()
+        store.fetches.clear()
         alice.load_signed_key("bob", key_type)
-        first_load = store.stats().total
+        first_load = store.fetches.total()
         assert first_load <= 3, f"first load took {first_load} fetches"
-        store.reset_stats()
+        store.fetches.clear()
         alice.load_signed_key("bob", key_type)
-        assert store.stats().total == 1, "verified reload must be one fetch"
+        assert store.fetches.total() == 1, "verified reload must be one fetch"
     # tracked identity reload is also a single fetch
-    store.reset_stats()
+    store.fetches.clear()
     alice.load_identity_key("bob")
-    assert store.stats().total == 1
+    assert store.fetches.total() == 1
 
 
 @criterion(6, "init idempotence and repair: 3+2 publishes, 0-write rerun, single-attribute repairs")

@@ -494,7 +494,6 @@ class TestSignatures:
         identity = generate_identity_keypair()
         chat = generate_chat_keypair()
         signature = sign_public_key(identity, KeyType.CHAT_X25519, chat.public)
-        assert signature.signed_key_type is KeyType.CHAT_X25519
         assert len(signature.sig) == 64
         assert verify_key_signature(
             identity.public, KeyType.CHAT_X25519, chat.public, signature
@@ -548,11 +547,7 @@ class TestSignatures:
                 identity.public[:-1], KeyType.CHAT_X25519, chat.public, bytes(64)
             )
         with pytest.raises(MalformedKeyError):
-            KeySignature(sig=bytes(63), signed_key_type=KeyType.CHAT_X25519)
-
-    def test_signature_for_identity_type_rejected(self):
-        with pytest.raises(ParameterError):
-            KeySignature(sig=bytes(64), signed_key_type=KeyType.IDENTITY_ED25519)
+            KeySignature(sig=bytes(63))
 
     @settings(deadline=None, max_examples=60)
     @given(

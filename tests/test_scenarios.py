@@ -30,7 +30,6 @@ from keyauth.scenarios import (
     _classify,
     build_rsa_pool,
     run_scenario,
-    run_scenario_batch,
 )
 
 EXPECTED = {
@@ -63,10 +62,9 @@ def test_pre_contact_identity_substitution_is_the_blind_spot(pool):
 
 
 def test_batch_runner(pool):
-    reports = run_scenario_batch(
-        "strip-signature", reps=5, rng=random.Random(11), rsa_pool=pool
-    )
-    assert len(reports) == 5
+    # repeated runs share one rng and one pool
+    rng = random.Random(11)
+    reports = [run_scenario("strip-signature", rng, pool) for _ in range(5)]
     assert all(report.ok for report in reports)
 
 
@@ -135,11 +133,6 @@ def test_failed_post_condition_fails_an_expected_outcome():
     report.check(False, "broke")
     assert not report.ok
     assert report.notes == ["ok: held", "FAILED: broke"]
-
-
-def test_batch_rejects_zero_reps():
-    with pytest.raises(ParameterError):
-        run_scenario_batch("strip-signature", reps=0)
 
 
 # Reports recorded for fixed seeds before the scenarios were rewritten as

@@ -204,26 +204,42 @@ class TestPublishFetch:
 
 class TestStats:
     def test_counts_every_fetch(self, store):
-        assert store.stats().total == 0
+        assert store.fetches.total() == 0
         store.publish("bob", "ed25519_pub", bytes(32))
         store.fetch("bob", "ed25519_pub")
         store.fetch("bob", "ed25519_pub")
         store.fetch("bob", "sig_x25519")  # absent fetches count too
-        stats = store.stats()
-        assert stats.total == 3
-        assert stats.count("bob", "ed25519_pub") == 2
-        assert stats.count("bob", "sig_x25519") == 1
-        assert stats.count("bob", "sig_rsa") == 0
+        assert store.fetches.total() == 3
+        assert store.fetches["bob", "ed25519_pub"] == 2
+        assert store.fetches["bob", "sig_x25519"] == 1
+        assert store.fetches["bob", "sig_rsa"] == 0
 
     def test_reset(self, store):
         store.fetch("bob", "ed25519_pub")
-        store.reset_stats()
-        assert store.stats().total == 0
-        assert store.stats().count("bob", "ed25519_pub") == 0
+        store.fetches.clear()
+        assert store.fetches.total() == 0
+        assert store.fetches["bob", "ed25519_pub"] == 0
 
     def test_publish_does_not_count(self, store):
         store.publish("bob", "ed25519_pub", bytes(32))
-        assert store.stats().total == 0
+        assert store.fetches.total() == 0
+
+    @pytest.mark.parametrize("kept", [False, True], ids=["full-open", "kept"])
+    def test_a_refused_fetch_does_not_count(self, tmp_path, kept):
+        path = tmp_path / "store.json"
+        store = AttributeStore(path)
+        store.publish("u1", "ed25519_pub", bytes(32))
+        store.save()
+        store = AttributeStore(path, verified=_record(path) if kept else None)
+        with pytest.raises(ParameterError):
+            store.fetch("u1", "tls_pub")
+        # a store opened from its record answers a non-string handle as a
+        # fully opened one does
+        for handle in (5, None, b"u1"):
+            with pytest.raises(ParameterError):
+                store.fetch(handle, "ed25519_pub")
+        assert store.fetches == {}
+        assert store.fetch("u1", "ed25519_pub") == bytes(32)
 
 
 class TestAdversary:
@@ -310,7 +326,7 @@ class TestAdversary:
     def test_tampered_fetches_still_counted(self, store):
         store.set_adversary({("bob", "sig_rsa"): None})
         store.fetch("bob", "sig_rsa")
-        assert store.stats().count("bob", "sig_rsa") == 1
+        assert store.fetches["bob", "sig_rsa"] == 1
 
 
 class TestPersistence:

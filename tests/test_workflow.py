@@ -45,7 +45,7 @@ def world(rsa_pair):
     store = AttributeStore()
     bob, _ = init_own_keys(store, "bob", existing=OwnKeyMaterial(sharing=rsa_pair))
     alice = Session(store)
-    store.reset_stats()
+    store.fetches.clear()
     return store, bob, alice
 
 
@@ -61,16 +61,16 @@ class TestLoadIdentityKey:
         assert loaded.public_octets == bob.identity.public
         assert loaded.method is AuthMethod.SEEN
         assert loaded.freshly_tracked
-        assert store.stats().total == 1
+        assert store.fetches.total() == 1
 
     def test_reload_matches_in_one_fetch(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
-        store.reset_stats()
+        store.fetches.clear()
         loaded = alice.load_identity_key("bob")
         assert not loaded.freshly_tracked
         assert loaded.method is AuthMethod.SEEN
-        assert store.stats().total == 1
+        assert store.fetches.total() == 1
 
     def test_substitution_after_contact_alarms(self, world):
         store, bob, alice = world
@@ -108,7 +108,7 @@ class TestLoadSignedKey:
         loaded = alice.load_signed_key("bob", key_type)
         assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
         assert loaded.freshly_tracked
-        assert store.stats().total == 3  # key, signature, identity
+        assert store.fetches.total() == 3  # key, signature, identity
         # identity got pinned along the way
         assert (
             alice.ring(KeyType.IDENTITY_ED25519).get("bob").method is AuthMethod.SEEN
@@ -118,11 +118,11 @@ class TestLoadSignedKey:
     def test_verified_reload_is_one_fetch(self, world, key_type):
         store, bob, alice = world
         alice.load_signed_key("bob", key_type)
-        store.reset_stats()
+        store.fetches.clear()
         loaded = alice.load_signed_key("bob", key_type)
         assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
         assert not loaded.freshly_tracked
-        assert store.stats().total == 1
+        assert store.fetches.total() == 1
 
     def test_identity_type_rejected(self, world):
         _, _, alice = world
@@ -180,7 +180,7 @@ class TestLoadSignedKey:
         assert loaded.public_octets == forged
         assert loaded.method is AuthMethod.SEEN
         assert alice.ring(key_type).get("bob").method is AuthMethod.SEEN
-        assert store.stats().count("bob", "ed25519_pub") == 0
+        assert store.fetches["bob", "ed25519_pub"] == 0
         assert alice.ring(KeyType.IDENTITY_ED25519).get("bob") is None
         store.set_adversary({})
         with pytest.raises(KeyChangedWarningError):
@@ -223,7 +223,7 @@ class TestUnsignedFallback:
         store.publish("bob", "x25519_pub", chat.public)
         store.publish("bob", "rsa_pub", rsa_pair.public)
         alice = Session(store)
-        store.reset_stats()
+        store.fetches.clear()
         return store, identity, chat, alice
 
     def test_pins_as_seen_in_two_fetches(self, unsigned_world):
@@ -231,16 +231,16 @@ class TestUnsignedFallback:
         loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert loaded.method is AuthMethod.SEEN
         assert loaded.freshly_tracked
-        assert store.stats().total == 2  # key + absent signature; no identity
+        assert store.fetches.total() == 2  # key + absent signature; no identity
 
     def test_seen_match_reload(self, unsigned_world):
         store, identity, chat, alice = unsigned_world
         alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        store.reset_stats()
+        store.fetches.clear()
         loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert loaded.method is AuthMethod.SEEN
         assert not loaded.freshly_tracked
-        assert store.stats().total == 2  # signature is re-checked for upgrades
+        assert store.fetches.total() == 2  # signature is re-checked for upgrades
 
     def test_upgrade_when_signature_appears(self, unsigned_world):
         store, identity, chat, alice = unsigned_world
