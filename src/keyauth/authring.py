@@ -142,7 +142,7 @@ def checked_handle(handle) -> str:
 
 
 class AuthRing:
-    """Mutable ring for one key type.
+    """Mutable ring for one key type, read through ``get`` and ``records``.
 
     Mutations keep two invariants: the tracked fingerprint for a handle
     never changes without an explicit reset, and the method only upgrades
@@ -163,17 +163,6 @@ class AuthRing:
         # a record, or the offset in _data of the fingerprint of one not yet read
         self._records: dict[str, AuthRecord | int] = {}
         self._data: bytes | None = None
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AuthRing):
-            return NotImplemented
-        return self.key_type is other.key_type and self.records() == other.records()
-
-    def __repr__(self) -> str:
-        return f"AuthRing({self.key_type.label}, {len(self._records)} records)"
 
     def get(self, handle: str) -> AuthRecord | None:
         record = self._records.get(handle)
@@ -244,10 +233,7 @@ class AuthRing:
             self.changed = True
 
     def to_bytes(self) -> bytes:
-        """Canonical serialisation; equal rings always produce equal bytes.
-        An unchanged parsed ring returns the bytes it was parsed from."""
-        if self._data is not None and not self.changed:
-            return self._data
+        """Canonical serialisation; equal key types and records, equal bytes."""
         body = bytearray()
         body += RING_MAGIC
         body.append(RING_VERSION)

@@ -424,19 +424,18 @@ def verify_key_signature(
     identity_public: bytes,
     key_type: KeyType,
     public_octets: bytes,
-    signature: KeySignature | bytes,
+    signature: bytes,
 ) -> bool:
-    """Check a sub-key attestation; never raises on a bad signature.
+    """Check a sub-key attestation's 64 octets; never raises on a bad one.
 
     Malformed lengths raise :class:`MalformedKeyError`; any failure to
     verify (wrong key, perturbed octets, unparseable point) returns False.
     """
-    raw = signature.sig if isinstance(signature, KeySignature) else signature
-    _require_octets("signature", raw, SIGNATURE_OCTETS)
+    _require_octets("signature", signature, SIGNATURE_OCTETS)
     _require_octets("identity public key", identity_public, EC_KEY_OCTETS)
     payload = canonical_payload(key_type, public_octets)
     try:
-        Ed25519PublicKey.from_public_bytes(identity_public).verify(raw, payload)
+        Ed25519PublicKey.from_public_bytes(identity_public).verify(signature, payload)
     except Exception:
         return False
     return True

@@ -46,13 +46,10 @@ PUBLISH = "publish"
 
 @dataclass(frozen=True)
 class LoadedKey:
-    """Result of loading a contact's key: the octets as fetched, plus the
-    ring state after the load."""
+    """A contact's key as fetched, and its ring method after the load."""
 
-    key_type: KeyType
     public_octets: bytes
     method: AuthMethod
-    freshly_tracked: bool
 
 
 @dataclass
@@ -142,7 +139,7 @@ class Session:
             result is CompareResult.MATCH
             and existing.method >= AuthMethod.SIGNATURE_VERIFIED
         ):
-            return LoadedKey(key_type, public, existing.method, False)
+            return LoadedKey(public, existing.method)
 
         signature = self.store.fetch(handle, key_type.signature_attribute)
         if signature is not None:
@@ -155,9 +152,7 @@ class Session:
             if result is CompareResult.MISMATCH:
                 raise KeyChangedWarningError(handle, key_type, tracked, fingerprint)
             record = ring.track(handle, fingerprint, AuthMethod.SIGNATURE_VERIFIED)
-            return LoadedKey(
-                key_type, public, record.method, result is CompareResult.ABSENT
-            )
+            return LoadedKey(public, record.method)
 
         # no attestation published: fall back to pin-on-first-sight
         return self._pin_on_first_sight(handle, key_type, public, fingerprint, result)
@@ -174,10 +169,10 @@ class Session:
         raise on a mismatch, leaving the ring unchanged."""
         ring = self.ring(key_type)
         if result is CompareResult.MATCH:
-            return LoadedKey(key_type, public, ring.get(handle).method, False)
+            return LoadedKey(public, ring.get(handle).method)
         if result is CompareResult.ABSENT:
             record = ring.track(handle, fingerprint, AuthMethod.SEEN)
-            return LoadedKey(key_type, public, record.method, True)
+            return LoadedKey(public, record.method)
         raise FingerprintMismatchError(
             handle, key_type, ring.get(handle).fingerprint, fingerprint
         )

@@ -5,6 +5,12 @@ care about key freshness."""
 from __future__ import annotations
 
 import hashlib
+import os
+import resource
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +31,28 @@ def make_entropy(seed: bytes):
         return out[:n]
 
     return entropy
+
+
+def run_under_file_limit(limit: int, *argv) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a child process whose files cannot grow past
+    ``limit`` octets: RLIMIT_FSIZE, with SIGXFSZ ignored, makes any write
+    beyond it fail with EFBIG, however the file was opened. Pipes are not
+    files, so the child's stdout and stderr come back whole."""
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=limit_file_size,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 @pytest.fixture(scope="session")

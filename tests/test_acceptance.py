@@ -95,7 +95,7 @@ def test_criterion_2_signature_soundness():
         key_type = rng.choice((KeyType.CHAT_X25519, KeyType.SHARING_RSA))
         payload = rng.randbytes(rng.randrange(1, 300))
         signature = sign_public_key(identity, key_type, payload)
-        assert verify_key_signature(identity.public, key_type, payload, signature)
+        assert verify_key_signature(identity.public, key_type, payload, signature.sig)
     for index in range(200):
         payload = rng.randbytes(rng.randrange(1, 300))
         signature = sign_public_key(identity, KeyType.CHAT_X25519, payload).sig
@@ -246,7 +246,9 @@ def test_criterion_7_serialization():
     for index in range(1000):
         ring = random_ring()
         encoded = ring.to_bytes()
-        assert AuthRing.from_bytes(encoded) == ring
+        restored = AuthRing.from_bytes(encoded)
+        assert restored.key_type is ring.key_type
+        assert restored.records() == ring.records()
         # one random bit flip per ring must be a checksum rejection
         corrupted = bytearray(encoded)
         bit = rng.randrange(len(corrupted) * 8)
@@ -326,4 +328,4 @@ def test_criterion_8_method_lattice_monotonicity():
                 for (type_, handle_) in model
                 if type_ is model_type
             }
-            assert len(ring_under_test) == len(tracked)
+            assert len(ring_under_test.records()) == len(tracked)

@@ -51,6 +51,11 @@ def fp(seed: int) -> Fingerprint:
     return Fingerprint(bytes([seed]) * 20)
 
 
+def content(ring: AuthRing):
+    """What a ring holds: its key type and its sorted records."""
+    return ring.key_type, ring.records()
+
+
 def handles():
     return st.text(min_size=1, max_size=40).filter(
         lambda s: 1 <= len(s.encode("utf-8")) <= 255
@@ -95,7 +100,7 @@ class TestCrc32c:
 class TestRingSemantics:
     def test_new_ring_is_empty(self):
         ring = AuthRing(KeyType.IDENTITY_ED25519)
-        assert len(ring) == 0
+        assert len(ring.records()) == 0
         assert ring.get("bob") is None
         assert ring.compare("bob", fp(1)) is CompareResult.ABSENT
 
@@ -136,7 +141,7 @@ class TestRingSemantics:
     def test_reset_unknown_is_noop(self):
         ring = AuthRing(KeyType.IDENTITY_ED25519)
         ring.reset_record("nobody")
-        assert len(ring) == 0
+        assert len(ring.records()) == 0
 
     def test_method_legality_matrix(self):
         identity, chat, sharing = (
@@ -159,7 +164,7 @@ class TestRingSemantics:
         ring = AuthRing(KeyType.IDENTITY_ED25519)
         with pytest.raises(IllegalMethodError):
             ring.track("bob", fp(1), AuthMethod.SIGNATURE_VERIFIED)
-        assert len(ring) == 0
+        assert len(ring.records()) == 0
 
     def test_handle_limits(self):
         ring = AuthRing(KeyType.IDENTITY_ED25519)
@@ -168,7 +173,7 @@ class TestRingSemantics:
         with pytest.raises(ParameterError):
             ring.track("x" * 256, fp(1), AuthMethod.SEEN)
         ring.track("x" * 255, fp(1), AuthMethod.SEEN)
-        assert len(ring) == 1
+        assert len(ring.records()) == 1
 
     def test_argument_types_checked(self):
         with pytest.raises(ParameterError):
@@ -176,7 +181,7 @@ class TestRingSemantics:
         ring = AuthRing(KeyType.IDENTITY_ED25519)
         with pytest.raises(ParameterError):
             ring.track("bob", fp(1), 1)
-        assert len(ring) == 0
+        assert len(ring.records()) == 0
         with pytest.raises(ParameterError):
             AuthRing.from_bytes(ring.to_bytes().decode("latin-1"))
 
@@ -186,7 +191,7 @@ class TestRingSemantics:
         with pytest.raises(ParameterError):
             ring.track(handle, fp(1), AuthMethod.SEEN)
         ring.track("€" * 85, fp(1), AuthMethod.SEEN)  # 255 octets
-        assert len(ring) == 1
+        assert len(ring.records()) == 1
 
     def test_trust_nibble_range(self):
         AuthRecord(fp(1), AuthMethod.SEEN, trust=15)
@@ -219,12 +224,12 @@ class TestSerialization:
         ring = AuthRing(KeyType.SHARING_RSA)
         ring.track("bob", fp(1), AuthMethod.SIGNATURE_VERIFIED)
         restored = AuthRing.from_bytes(ring.to_bytes())
-        assert restored == ring
+        assert content(restored) == content(ring)
         assert restored.get("bob").method is AuthMethod.SIGNATURE_VERIFIED
 
     @given(rings())
     def test_round_trip_property(self, ring):
-        assert AuthRing.from_bytes(ring.to_bytes()) == ring
+        assert content(AuthRing.from_bytes(ring.to_bytes())) == content(ring)
 
     @given(rings(), st.randoms())
     def test_insertion_order_is_irrelevant(self, ring, rnd):
@@ -456,7 +461,7 @@ class TestMonotonicity:
                 assert record is not None
                 assert record.fingerprint == tracked_fp
                 assert record.method == tracked_method
-            assert len(ring) == len(model)
+            assert len(ring.records()) == len(model)
 
 
 class TestLazyParse:
@@ -541,7 +546,7 @@ class TestLazyParse:
         ring.track("bob", fp(2), AuthMethod.SEEN)  # no upgrade
         ring.reset_record("cat")  # not tracked
         assert not ring.changed
-        assert ring.to_bytes() is data
+        assert ring.to_bytes() == data
 
     @pytest.mark.parametrize(
         "change",

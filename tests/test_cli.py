@@ -44,7 +44,7 @@ from keyauth.cli import (
     save_own_material,
 )
 
-from conftest import make_entropy
+from conftest import make_entropy, run_under_file_limit
 
 
 @pytest.fixture
@@ -1096,22 +1096,19 @@ class TestFileErrors:
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
 
-    def test_ring_cannot_be_written(self, env, capsys, tmp_path):
+    def test_ring_cannot_be_written(self, env, capsys):
         init_user(env, capsys, "alice")
         init_user(env, capsys, "bob")
-        # a dangling link into a missing directory: absent to read, fails to write
+        # no file may grow, so the first changed ring fails to save
         ring = env.home("alice") / "chat-x25519.ring"
-        ring.unlink()
-        ring.symlink_to(tmp_path / "missing" / "chat.ring")
-        code, _, err = env.run(
-            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        done = run_under_file_limit(
+            0, "-m", "keyauth.cli", *env.user_args("alice"), "fetch", "bob", "chat"
         )
+        code, err = done.returncode, done.stderr
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
 
-    def test_failed_ring_write_does_not_replace_an_alarm(
-        self, env, capsys, tmp_path
-    ):
+    def test_failed_ring_write_does_not_replace_an_alarm(self, env, capsys):
         """The identity pin made before the signature check fails to save;
         the alarm keeps its exit code and line, and the write is reported."""
         init_user(env, capsys, "alice")
@@ -1120,11 +1117,10 @@ class TestFileErrors:
         store.publish("bob", "x25519_pub", generate_chat_keypair().public)
         store.save()
         ring = env.home("alice") / "identity-ed25519.ring"
-        ring.unlink()
-        ring.symlink_to(tmp_path / "missing" / "identity.ring")
-        code, out, err = env.run(
-            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        done = run_under_file_limit(
+            0, "-m", "keyauth.cli", *env.user_args("alice"), "fetch", "bob", "chat"
         )
+        code, out, err = done.returncode, done.stdout, done.stderr
         assert code == EXIT_SIGNATURE_INVALID
         assert out == ""
         lines = err.splitlines()
@@ -1142,11 +1138,12 @@ class TestFileErrors:
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
 
-    def test_private_key_cannot_be_written(self, env, capsys, tmp_path):
-        env.home("alice").mkdir()
+    def test_private_key_cannot_be_written(self, env):
         key = env.home("alice") / "identity-ed25519.sk"
-        key.symlink_to(tmp_path / "missing" / "identity.sk")
-        code, _, err = env.run(*env.user_args("alice"), "init", capsys=capsys)
+        done = run_under_file_limit(
+            0, "-m", "keyauth.cli", *env.user_args("alice"), "init"
+        )
+        code, err = done.returncode, done.stderr
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(key) in err
 

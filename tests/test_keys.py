@@ -496,7 +496,7 @@ class TestSignatures:
         signature = sign_public_key(identity, KeyType.CHAT_X25519, chat.public)
         assert len(signature.sig) == 64
         assert verify_key_signature(
-            identity.public, KeyType.CHAT_X25519, chat.public, signature
+            identity.public, KeyType.CHAT_X25519, chat.public, signature.sig
         )
 
     def test_round_trip_sharing(self, rsa_pair):
@@ -504,7 +504,7 @@ class TestSignatures:
         framed = rsa_pair.public
         signature = sign_public_key(identity, KeyType.SHARING_RSA, framed)
         assert verify_key_signature(
-            identity.public, KeyType.SHARING_RSA, framed, signature
+            identity.public, KeyType.SHARING_RSA, framed, signature.sig
         )
 
     def test_identity_never_signed(self):
@@ -517,7 +517,7 @@ class TestSignatures:
         chat = generate_chat_keypair()
         signature = sign_public_key(identity, KeyType.CHAT_X25519, chat.public)
         assert not verify_key_signature(
-            other.public, KeyType.CHAT_X25519, chat.public, signature
+            other.public, KeyType.CHAT_X25519, chat.public, signature.sig
         )
 
     def test_wrong_type_tag_rejected(self, rsa_pair):

@@ -29,6 +29,7 @@ from keyauth import authring
 from keyauth import store as store_module
 from keyauth.keys import frame_rsa_public
 from keyauth.store import VALID_ATTRIBUTES, _check_column
+from conftest import run_under_file_limit
 from oracles import BASE64_COLUMNS, base64_column_ok
 
 
@@ -708,16 +709,23 @@ class TestPersistence:
         with pytest.raises(StoreUnavailableError):
             store.save()
 
-    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-    def test_failed_write_raises_naming_the_path(self, tmp_path, rsa_pair):
-        # the file opens, but every write to /dev/full fails with ENOSPC
+    def test_failed_write_raises_naming_the_path(self, tmp_path):
+        # the file opens, but no write may grow it; the child prints what
+        # save raised, and exits 1 on any other exception
         path = tmp_path / "store.json"
-        store = AttributeStore(path)
-        for index in range(50):  # more text than one write buffer holds
-            store.publish(f"user{index}", "rsa_pub", rsa_pair.public)
-        path.symlink_to("/dev/full")
-        with pytest.raises(StoreUnavailableError, match=re.escape(f"{path}: ")):
-            store.save()
+        script = (
+            "import sys\n"
+            "from keyauth import AttributeStore, StoreUnavailableError\n"
+            "store = AttributeStore(sys.argv[1])\n"
+            "store.publish('bob', 'ed25519_pub', bytes(32))\n"
+            "try:\n"
+            "    store.save()\n"
+            "except StoreUnavailableError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = run_under_file_limit(0, "-c", script, path)
+        assert done.returncode == 0, done.stderr
+        assert f"{path}: " in done.stdout
 
     def test_duplicate_handle_in_file_raises(self, tmp_path):
         path = tmp_path / "store.json"

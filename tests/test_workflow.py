@@ -15,6 +15,7 @@ import pytest
 from keyauth import (
     AttributeStore,
     AuthMethod,
+    AuthRecord,
     ComparisonFailedError,
     FingerprintMismatchError,
     IdentityKeyPair,
@@ -36,6 +37,7 @@ from keyauth import (
     unframe_rsa_public,
     SignatureInvalidError,
 )
+from keyauth.keys import fingerprint_for
 from keyauth.workflow import GENERATE, PUBLISH
 
 
@@ -56,19 +58,23 @@ def substitute(store, handle, attribute, replacement):
 class TestLoadIdentityKey:
     def test_first_sight_pins(self, world):
         store, bob, alice = world
+        ring = alice.ring(KeyType.IDENTITY_ED25519)
+        assert ring.get("bob") is None
         loaded = alice.load_identity_key("bob")
-        assert loaded.key_type is KeyType.IDENTITY_ED25519
         assert loaded.public_octets == bob.identity.public
         assert loaded.method is AuthMethod.SEEN
-        assert loaded.freshly_tracked
+        assert ring.get("bob") == AuthRecord(
+            fingerprint_ec(bob.identity.public), AuthMethod.SEEN
+        )
         assert store.fetches.total() == 1
 
     def test_reload_matches_in_one_fetch(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
+        before = alice.ring(KeyType.IDENTITY_ED25519).get("bob")
         store.fetches.clear()
         loaded = alice.load_identity_key("bob")
-        assert not loaded.freshly_tracked
+        assert alice.ring(KeyType.IDENTITY_ED25519).get("bob") == before
         assert loaded.method is AuthMethod.SEEN
         assert store.fetches.total() == 1
 
@@ -105,9 +111,14 @@ class TestLoadSignedKey:
     @pytest.mark.parametrize("key_type", [KeyType.CHAT_X25519, KeyType.SHARING_RSA])
     def test_first_load_verifies_in_three_fetches(self, world, key_type):
         store, bob, alice = world
+        ring = alice.ring(key_type)
+        assert ring.get("bob") is None
         loaded = alice.load_signed_key("bob", key_type)
         assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
-        assert loaded.freshly_tracked
+        assert ring.get("bob") == AuthRecord(
+            fingerprint_for(key_type, loaded.public_octets),
+            AuthMethod.SIGNATURE_VERIFIED,
+        )
         assert store.fetches.total() == 3  # key, signature, identity
         # identity got pinned along the way
         assert (
@@ -118,10 +129,11 @@ class TestLoadSignedKey:
     def test_verified_reload_is_one_fetch(self, world, key_type):
         store, bob, alice = world
         alice.load_signed_key("bob", key_type)
+        before = alice.ring(key_type).get("bob")
         store.fetches.clear()
         loaded = alice.load_signed_key("bob", key_type)
         assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
-        assert not loaded.freshly_tracked
+        assert alice.ring(key_type).get("bob") == before
         assert store.fetches.total() == 1
 
     def test_identity_type_rejected(self, world):
@@ -228,23 +240,29 @@ class TestUnsignedFallback:
 
     def test_pins_as_seen_in_two_fetches(self, unsigned_world):
         store, identity, chat, alice = unsigned_world
+        ring = alice.ring(KeyType.CHAT_X25519)
+        assert ring.get("bob") is None
         loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert loaded.method is AuthMethod.SEEN
-        assert loaded.freshly_tracked
+        assert ring.get("bob") == AuthRecord(
+            fingerprint_ec(chat.public), AuthMethod.SEEN
+        )
         assert store.fetches.total() == 2  # key + absent signature; no identity
 
     def test_seen_match_reload(self, unsigned_world):
         store, identity, chat, alice = unsigned_world
         alice.load_signed_key("bob", KeyType.CHAT_X25519)
+        before = alice.ring(KeyType.CHAT_X25519).get("bob")
         store.fetches.clear()
         loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert loaded.method is AuthMethod.SEEN
-        assert not loaded.freshly_tracked
+        assert alice.ring(KeyType.CHAT_X25519).get("bob") == before
         assert store.fetches.total() == 2  # signature is re-checked for upgrades
 
     def test_upgrade_when_signature_appears(self, unsigned_world):
         store, identity, chat, alice = unsigned_world
         alice.load_signed_key("bob", KeyType.CHAT_X25519)
+        pinned = alice.ring(KeyType.CHAT_X25519).get("bob").fingerprint
         owner = IdentityKeyPair(private=identity.private)
         store.publish(
             "bob",
@@ -253,9 +271,9 @@ class TestUnsignedFallback:
         )
         loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
-        assert not loaded.freshly_tracked
         record = alice.ring(KeyType.CHAT_X25519).get("bob")
         assert record.method is AuthMethod.SIGNATURE_VERIFIED
+        assert record.fingerprint == pinned
 
     def test_mismatch_without_signature_alarms(self, unsigned_world):
         store, identity, chat, alice = unsigned_world
