@@ -149,7 +149,8 @@ class AuthRing:
     (a weaker observation never downgrades a stronger one). Failed
     operations leave the ring untouched.
 
-    A parsed ring keeps its bytes and decodes a record when first read.
+    Each record is kept as the octets the ring format writes for it, in one
+    append-only buffer: a read decodes them, and serialising copies them.
     ``changed`` turns true when a record is added, upgraded or removed.
     """
 
@@ -160,27 +161,27 @@ class AuthRing:
             raise ParameterError("key_type must be a KeyType")
         self.key_type = key_type
         self.changed = False
-        # a record, or the offset in _data of the fingerprint of one not yet read
-        self._records: dict[str, AuthRecord | int] = {}
-        self._data: bytes | None = None
+        # the offset in _data of each handle's current record; an upgraded or
+        # removed record's octets stay in _data, reachable from no handle
+        self._records: dict[str, int] = {}
+        self._data = bytearray()
 
     def get(self, handle: str) -> AuthRecord | None:
-        record = self._records.get(handle)
-        if isinstance(record, int):
-            packed = self._data[record + FINGERPRINT_OCTETS]
-            record = self._records[handle] = AuthRecord(
-                Fingerprint(self._data[record : record + FINGERPRINT_OCTETS]),
-                AuthMethod(packed & 0x0F),
-                packed >> 4,
-            )
-        return record
+        offset = self._records.get(handle)
+        if offset is None:
+            return None
+        start = offset + 1 + self._data[offset]
+        end = start + FINGERPRINT_OCTETS
+        return AuthRecord(
+            Fingerprint(bytes(self._data[start:end])),
+            AuthMethod(self._data[end] & 0x0F),
+            self._data[end] >> 4,
+        )
 
     def records(self) -> list[tuple[str, AuthRecord]]:
         """All records, sorted by handle octets ascending."""
-        return [(handle, self.get(handle)) for handle in self._sorted_handles()]
-
-    def _sorted_handles(self) -> list[str]:
-        return sorted(self._records, key=lambda handle: handle.encode("utf-8"))
+        # UTF-8 keeps code-point order (RFC 3629 §1), and str sorts by code point
+        return [(handle, self.get(handle)) for handle in sorted(self._records)]
 
     def compare(self, handle: str, fingerprint: Fingerprint) -> CompareResult:
         record = self.get(handle)
@@ -208,21 +209,19 @@ class AuthRing:
                 f"{self.key_type.label} ring"
             )
         existing = self.get(handle)
-        if existing is None:
-            record = AuthRecord(fingerprint=fingerprint, method=method)
-        elif existing.fingerprint != fingerprint:
+        trust = 0 if existing is None else existing.trust
+        if existing is not None and existing.fingerprint != fingerprint:
             raise FingerprintConflictError(
                 handle, self.key_type, existing.fingerprint, fingerprint
             )
-        elif method > existing.method:
-            record = AuthRecord(
-                fingerprint=existing.fingerprint, method=method, trust=existing.trust
-            )
-        else:
+        if existing is not None and method <= existing.method:
             return existing
-        self._records[handle] = record
+        encoded = handle.encode("utf-8")
+        octets = bytes([len(encoded)]) + encoded + fingerprint.digest
+        self._records[handle] = len(self._data)
+        self._data += octets + bytes([(trust << 4) | method])
         self.changed = True
-        return record
+        return AuthRecord(fingerprint, method, trust)
 
     def reset_record(self, handle: str) -> None:
         """Forget a contact entirely; the only way to accept a changed key.
@@ -239,16 +238,10 @@ class AuthRing:
         body.append(RING_VERSION)
         body.append(self.key_type.tag)
         body += len(self._records).to_bytes(4, "big")
-        for handle in self._sorted_handles():
-            encoded = handle.encode("utf-8")
-            body.append(len(encoded))
-            body += encoded
-            record = self._records[handle]
-            if isinstance(record, int):  # never read: copy its octets
-                body += self._data[record : record + FINGERPRINT_OCTETS + 1]
-            else:
-                body += record.fingerprint.digest
-                body.append((record.trust << 4) | int(record.method))
+        for handle in sorted(self._records):
+            offset = self._records[handle]
+            end = offset + 1 + self._data[offset] + FINGERPRINT_OCTETS + 1
+            body += self._data[offset:end]
         body += crc32c(bytes(body)).to_bytes(4, "big")
         return bytes(body)
 
@@ -322,7 +315,7 @@ class AuthRing:
                 ) from None
             if body[end - 1] not in legal:
                 raise _illegal_packed_octet(key_type, body[end - 1])
-            records[handle] = handle_end
+            records[handle] = offset
             offset = end
         if offset != size:
             raise InvalidRingDataError(
@@ -330,7 +323,7 @@ class AuthRing:
             )
         ring = cls(key_type)
         ring._records = records
-        ring._data = data
+        ring._data = bytearray(data)
         return ring
 
 

@@ -254,6 +254,24 @@ class TestSerialization:
             ring.track(handle, fp(1), AuthMethod.SEEN)
         assert [h for h, _ in ring.records()] == ["a", "m", "mm", "z"]
 
+    # U+E000..U+FFFF sort before astral characters by UTF-8 octets, as by
+    # code point, but after them by UTF-16 code units
+    ORDER_HANDLES = ["a", "z", "é", "\ue000", "\uffff", "\U00010000", "\U0001d537"]
+
+    @given(st.permutations(ORDER_HANDLES))
+    def test_handles_sort_by_utf8_octets_not_utf16_units(self, handles):
+        pins = {handle: fp(index) for index, handle in enumerate(self.ORDER_HANDLES)}
+        ring = AuthRing(KeyType.IDENTITY_ED25519)
+        for handle in handles:
+            ring.track(handle, pins[handle], AuthMethod.SEEN)
+        ordered = sorted(handles, key=lambda handle: handle.encode("utf-8"))
+        assert [handle for handle, _ in ring.records()] == ordered
+        assert ring.to_bytes() == build_ring_bytes(
+            0x00,
+            [(handle.encode("utf-8"), pins[handle].digest, 0, 0) for handle in ordered],
+        )
+        assert content(AuthRing.from_bytes(ring.to_bytes())) == content(ring)
+
 
 class TestParseErrors:
     """Structural errors require a valid checksum to be reachable, so each

@@ -169,6 +169,19 @@ class TestLoadSignedKey:
             alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert alice.ring(KeyType.CHAT_X25519).get("bob") == honest
 
+    def test_damaged_signature_on_a_verified_key_is_never_fetched(self, world):
+        """An unchanged verified key reloads in one fetch, so its signature
+        is not read again: a damaged one on it is harmless."""
+        store, bob, alice = world
+        alice.load_signed_key("bob", KeyType.CHAT_X25519)
+        before = alice.ring(KeyType.CHAT_X25519).get("bob")
+        substitute(store, "bob", "sig_x25519", secrets.token_bytes(64))
+        store.fetches.clear()
+        loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
+        assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
+        assert store.fetches.total() == 1
+        assert alice.ring(KeyType.CHAT_X25519).get("bob") == before
+
     @pytest.mark.parametrize("key_type", [KeyType.CHAT_X25519, KeyType.SHARING_RSA])
     def test_substitution_with_stripped_signature_at_first_contact(
         self, world, rsa_pair_alt, key_type
