@@ -31,7 +31,7 @@ from .errors import (
 )
 from .keys import KeyType, fingerprint_ec
 from .scenarios import SCENARIO_NAMES, build_rsa_pool, run_scenario
-from .store import AttributeStore
+from .store import AttributeStore, replace_file
 from .workflow import PUBLISH, OwnKeyMaterial, Session, init_own_keys
 
 EXIT_OK = 0
@@ -77,11 +77,11 @@ def group_fingerprint_hex(hex40: str) -> str:
 #                                       and the SHA-256 hex of the last store
 #                                       bytes a read session fully validated
 #
-# Every file is read by _read and written by _write, which writes it at mode
-# 0600 and only when its bytes change. init writes the private key files and
-# creates the ring files that are absent, and never touches store.verified; any
-# other command writes only the rings whose records it changed, and the
-# record after a store open that had to validate the file.
+# Every file is read by _read and written by _write, which replaces it whole
+# at mode 0600 when its bytes change, so a failed write leaves the old file.
+# init writes the private key files and creates the ring files that are absent,
+# and never touches store.verified; any other command writes only the rings
+# whose records it changed, and the record after a store open in full.
 
 def _read(path: Path) -> bytes | None:
     """The file's bytes, or None when it is absent."""
@@ -94,16 +94,13 @@ def _read(path: Path) -> bytes | None:
 
 
 def _write(path: Path, data: bytes) -> None:
-    """Make the file hold ``data`` at mode 0600, writing only if it differs.
-
-    Skipping an unchanged file matters: the write truncates first, which
-    risks the file's contents for nothing."""
+    """Make the file hold ``data`` at mode 0600, replacing it whole only if
+    its bytes differ, so an unchanged file keeps its inode and mtime."""
     try:
         if _read(path) != data:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-        os.chmod(path, 0o600)  # a pre-existing file keeps its mode otherwise
+            replace_file(path, [data], 0o600)
+        else:
+            os.chmod(path, 0o600)  # a pre-existing file keeps its mode otherwise
     except OSError as exc:
         raise InitError(f"cannot write {path}: {exc}") from exc
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 from bisect import bisect_right
 from collections import Counter
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .authring import MAX_HANDLE_OCTETS, checked_handle
 from .errors import ParameterError, PublishError, StoreUnavailableError
@@ -183,15 +185,13 @@ class AttributeStore:
             self._users = json.loads(text)["users"]
 
     def save(self) -> None:
-        """Write ``json.dumps({"users": ...}, indent=2, sort_keys=True)`` and a
-        newline to the file, if any, rendered in full before open truncates it."""
+        """Replace the file, if any, with ``json.dumps({"users": ...}, indent=2,
+        sort_keys=True)`` and a newline; a save that fails leaves the old file."""
         if self._path is None:
             return
         self._parse()
-        pieces = list(_render(self._users))
         try:
-            with self._path.open("w", encoding="utf-8") as file:
-                file.writelines(pieces)
+            replace_file(self._path, map(str.encode, _render(self._users)))
         except OSError as exc:
             raise StoreUnavailableError(f"cannot write store {self._path}: {exc}") from exc
 
@@ -253,6 +253,29 @@ class AttributeStore:
                 except PublishError as exc:
                     raise ParameterError(f"invalid replacement: {exc}") from exc
         self._adversary = dict(rules)
+
+
+def replace_file(path: Path, chunks: Iterable[bytes], mode: int | None = None) -> None:
+    """Make the file at ``path`` hold ``chunks`` joined: write them to a new
+    file beside it and rename that over ``path`` (POSIX rename(2)), so a
+    failed write leaves the old file, removes the new one and raises OSError.
+    The file gets ``mode``, by default the old file's permission bits, or
+    0o666 less the umask. Nothing is synced: power loss can lose a write."""
+    if mode is None and path.exists():
+        mode = path.stat().st_mode & 0o7777
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    fd = os.open(temp, flags, 0o666 if mode is None else mode)
+    try:
+        with open(fd, "wb") as file:
+            if mode is not None:
+                os.fchmod(fd, mode)  # whatever the umask
+            file.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:

@@ -545,8 +545,8 @@ class TestLazyParse:
                     changed = True
                 assert record == AuthRecord(*model[handle])
         assert ring.changed is changed
-        # bytes first: records() decodes every record, and to_bytes copies
-        # the octets of the records never read
+        # to_bytes copies every record's octets, tracked or parsed, and
+        # records() decodes them
         assert ring.to_bytes() == self.encode(key_type, model)
         if not changed:
             assert ring.to_bytes() == original

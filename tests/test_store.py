@@ -6,9 +6,11 @@ import base64
 import hashlib
 import inspect
 import json
+import os
 import random
 import re
 import secrets
+import stat
 import string
 import tempfile
 from pathlib import Path
@@ -28,7 +30,7 @@ from keyauth import (
 from keyauth import authring
 from keyauth import store as store_module
 from keyauth.keys import frame_rsa_public
-from keyauth.store import VALID_ATTRIBUTES, _check_column
+from keyauth.store import VALID_ATTRIBUTES, _check_column, replace_file
 from conftest import run_under_file_limit
 from oracles import BASE64_COLUMNS, base64_column_ok
 
@@ -726,6 +728,31 @@ class TestPersistence:
         done = run_under_file_limit(0, "-c", script, path)
         assert done.returncode == 0, done.stderr
         assert f"{path}: " in done.stdout
+
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path):
+        """A new store gets 0o666 less the umask and a saved one keeps its
+        permission bits, as a file written in place would; a mode given to
+        replace_file holds whatever the umask."""
+        path = tmp_path / "store.json"
+        key = tmp_path / "key"
+        umask = os.umask(0o077)
+        try:
+            store = AttributeStore(path)
+            store.publish("bob", "ed25519_pub", bytes(32))
+            store.save()
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+            os.chmod(path, 0o644)
+            store.publish("carol", "ed25519_pub", bytes(32))
+            store.save()
+            os.umask(0o477)  # would clear the owner's read bit
+            replace_file(key, [b"secret"], 0o600)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+        assert AttributeStore(path).fetch("carol", "ed25519_pub") == bytes(32)
+        assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
+        assert key.read_bytes() == b"secret"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["key", "store.json"]
 
     def test_duplicate_handle_in_file_raises(self, tmp_path):
         path = tmp_path / "store.json"

@@ -1,25 +1,21 @@
 """A write that fails partway must leave the file it replaces whole.
 
-Every writer truncates its file before it writes, so a write cut short
-leaves a torn file behind. These cases cut writes short with a file-size
-limit and hold the files to what they held before. They fail until writes
-go through a temporary file and a rename (ROADMAP item 2).
+Every file keyauth keeps is written to a temporary file beside it and
+renamed over it. These cases fail writes, cut short by a file-size limit in
+a child process or refused at the rename in-process, and hold every file to
+the bytes it held before, with no temporary file left behind.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from keyauth import AttributeStore
 from keyauth.cli import EXIT_ERROR, EXIT_OK, main
 
 from conftest import run_under_file_limit
-
-torn_write = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="writes truncate in place, so a failed write tears the file "
-    "(ROADMAP item 2: atomic writes)",
-)
 
 
 def user_args(tmp_path, user):
@@ -38,7 +34,20 @@ def run_cli(tmp_path, capsys):
     return run
 
 
-@torn_write
+def files(root):
+    """Every file under ``root``, by path, with its bytes."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def refuse_renames(monkeypatch):
+    """Fail every rename over a file, the last step of every write."""
+
+    def refuse(source, target):
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr(os, "replace", refuse)
+
+
 def test_failed_ring_write_keeps_every_pin(run_cli, tmp_path):
     for user in ("alice", "bob", "carol"):
         assert run_cli(user, "init") == (EXIT_OK, "")
@@ -53,10 +62,10 @@ def test_failed_ring_write_keeps_every_pin(run_cli, tmp_path):
     assert done.returncode == EXIT_ERROR
     assert done.stderr.startswith("error[init]: ") and str(ring) in done.stderr
     assert ring.read_bytes() == pinned
+    assert not list(tmp_path.rglob("*.tmp"))
     assert run_cli("alice", "fetch", "bob", "identity") == (EXIT_OK, "")
 
 
-@torn_write
 def test_failed_key_write_leaves_no_key_file(run_cli, tmp_path):
     done = run_under_file_limit(
         0, "-m", "keyauth.cli", *user_args(tmp_path, "alice"), "init"
@@ -65,4 +74,91 @@ def test_failed_key_write_leaves_no_key_file(run_cli, tmp_path):
     key = tmp_path / "alice" / "identity-ed25519.sk"
     assert done.stderr.startswith("error[init]: ") and str(key) in done.stderr
     assert [path.name for path in (tmp_path / "alice").glob("*.sk")] == []
+    assert not list(tmp_path.rglob("*.tmp"))
     assert run_cli("alice", "init")[0] == EXIT_OK
+
+
+def test_failed_store_save_keeps_the_store(run_cli, tmp_path):
+    assert run_cli("alice", "init")[0] == EXIT_OK
+    path = tmp_path / "store.json"
+    saved = path.read_bytes()
+    # the child prints what save raised, and exits 1 on any other exception;
+    # carol's block cannot fit in the few octets the limit leaves
+    script = (
+        "import sys\n"
+        "from keyauth import AttributeStore, StoreUnavailableError\n"
+        "store = AttributeStore(sys.argv[1])\n"
+        "store.publish('carol', 'ed25519_pub', bytes(32))\n"
+        "try:\n"
+        "    store.save()\n"
+        "except StoreUnavailableError as exc:\n"
+        "    print(exc)\n"
+    )
+    done = run_under_file_limit(len(saved) + 8, "-c", script, path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"cannot write store {path}: ")
+    assert path.read_bytes() == saved
+    assert AttributeStore(path).fetch("alice", "ed25519_pub") is not None
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_refused_ring_write_keeps_every_file(run_cli, tmp_path, monkeypatch):
+    for user in ("alice", "bob"):
+        assert run_cli(user, "init") == (EXIT_OK, "")
+    assert run_cli("alice", "fetch", "bob", "chat") == (EXIT_OK, "")
+    # a new user changes the store, so the next fetch also writes the record
+    assert run_cli("carol", "init") == (EXIT_OK, "")
+    before = files(tmp_path)
+    refuse_renames(monkeypatch)
+    code, err = run_cli("alice", "fetch", "carol", "chat")
+    ring = tmp_path / "alice" / "chat-x25519.ring"
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error[init]: cannot write {ring}: "), err
+    assert files(tmp_path) == before
+    monkeypatch.undo()
+    assert run_cli("alice", "fetch", "bob", "chat") == (EXIT_OK, "")
+    assert run_cli("alice", "fetch", "carol", "chat") == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("state", ["fresh", "store-lost-the-user"])
+def test_refused_init_write_keeps_every_file(run_cli, tmp_path, monkeypatch, state):
+    assert run_cli("bob", "init")[0] == EXIT_OK
+    if state == "fresh":
+        key = tmp_path / "alice" / "identity-ed25519.sk"
+        failed = f"error[init]: cannot write {key}: "
+    else:
+        assert run_cli("alice", "init")[0] == EXIT_OK
+        # a store that holds bob alone, so alice's init publishes again
+        store = tmp_path / "store.json"
+        store.unlink()
+        assert run_cli("bob", "init")[0] == EXIT_OK
+        failed = f"error[store-unavailable]: cannot write store {store}: "
+    before = files(tmp_path)
+    refuse_renames(monkeypatch)
+    code, err = run_cli("alice", "init")
+    assert code == EXIT_ERROR
+    assert err.startswith(failed), err
+    assert files(tmp_path) == before
+    monkeypatch.undo()
+    assert run_cli("alice", "init")[0] == EXIT_OK
+    assert AttributeStore(tmp_path / "store.json").fetch("alice", "sig_rsa") is not None
+
+
+def test_refused_record_write_changes_no_output(tmp_path, capsys, monkeypatch):
+    def run(user, *args):
+        code = main([str(arg) for arg in (*user_args(tmp_path, user), *args)])
+        return code, *capsys.readouterr()
+
+    for user in ("alice", "bob"):
+        assert run(user, "init")[0] == EXIT_OK
+    assert run("alice", "fetch", "bob", "chat")[0] == EXIT_OK
+    record = tmp_path / "alice" / "store.verified"
+    record.unlink()  # so the next fetch opens the store in full and records it
+    before = files(tmp_path)
+    refuse_renames(monkeypatch)
+    refused = run("alice", "fetch", "bob", "chat")
+    assert files(tmp_path) == before
+    monkeypatch.undo()
+    assert refused == run("alice", "fetch", "bob", "chat")
+    assert refused[0] == EXIT_OK
+    assert record.is_file()
