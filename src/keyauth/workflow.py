@@ -2,9 +2,10 @@
 
 The identity key is pinned on first sight and every later fetch is checked
 against the pin; sub-keys additionally carry an identity-key signature, so
-tampering with them is detectable even before first contact. Loading is
-fetch-minimal: a sub-key already pinned as signature-verified costs a
-single store round trip.
+tampering with them is detectable even before first contact. ``POLICY`` is
+the trust decision as one table, which every load and comparison looks up.
+Loading is fetch-minimal: a sub-key already pinned as signature-verified
+costs a single store round trip.
 """
 
 from __future__ import annotations
@@ -73,6 +74,25 @@ class RepairAction:
         return f"{self.action} {self.target}"
 
 
+# The trust decision: (evidence, the key against the pin) -> (method to track
+# or None, alarm to raise or None). The evidence is "unsigned" (always so for
+# the identity key), a sub-key's "signed" or "bad signature", or "compared"
+# out of band, which needs a pin.
+POLICY = {
+    ("unsigned", CompareResult.ABSENT): (AuthMethod.SEEN, None),
+    ("unsigned", CompareResult.MATCH): (None, None),
+    ("unsigned", CompareResult.MISMATCH): (None, FingerprintMismatchError),
+    ("signed", CompareResult.ABSENT): (AuthMethod.SIGNATURE_VERIFIED, None),
+    ("signed", CompareResult.MATCH): (AuthMethod.SIGNATURE_VERIFIED, None),
+    ("signed", CompareResult.MISMATCH): (None, KeyChangedWarningError),
+    ("bad signature", CompareResult.ABSENT): (None, SignatureInvalidError),
+    ("bad signature", CompareResult.MATCH): (None, SignatureInvalidError),
+    ("bad signature", CompareResult.MISMATCH): (None, SignatureInvalidError),
+    ("compared", CompareResult.MATCH): (AuthMethod.FINGERPRINT_COMPARISON, None),
+    ("compared", CompareResult.MISMATCH): (None, ComparisonFailedError),
+}
+
+
 class Session:
     """A user's view of the world: the store and one ring per key type,
     which ``load_ring(key_type)`` supplies when a decision first needs it.
@@ -101,81 +121,64 @@ class Session:
     def load_identity_key(self, handle: str) -> LoadedKey:
         """Fetch a contact's identity key and hold it against the pin.
 
-        First sight pins the fingerprint with method SEEN; any later fetch
-        that does not match the pin raises, leaving the ring unchanged.
-        Exactly one store round trip.
+        It carries no signature, so it takes ``POLICY``'s unsigned rows:
+        first sight pins it at SEEN and a mismatch raises. Exactly one
+        store round trip.
         """
         key_type = KeyType.IDENTITY_ED25519
-        public = self.store.fetch(handle, key_type.key_attribute)
-        if public is None:
-            raise MissingKeyError(f"{handle!r} has no published identity key")
-        fingerprint = fingerprint_for(key_type, public)
-        result = self.ring(key_type).compare(handle, fingerprint)
-        return self._pin_on_first_sight(handle, key_type, public, fingerprint, result)
+        public, fingerprint, result = self._fetch(handle, key_type, "identity")
+        record = self._decide(handle, key_type, fingerprint, "unsigned", result)
+        return LoadedKey(public, record.method)
 
     def load_signed_key(self, handle: str, key_type: KeyType) -> LoadedKey:
         """Fetch a contact's chat or sharing key, verifying its attestation.
 
         A key already pinned as signature-verified short-circuits after the
-        single key fetch. Otherwise the signature is fetched; if absent the
-        key is handled like an unattested key (pin on first sight, alarm on
-        pin mismatch), supporting contacts whose clients never published
-        signatures. If present, the signature is verified against the
-        contact's identity key (loaded through its own pinning flow): an
-        invalid signature always raises; a valid signature over a key that
-        contradicts the pin raises a key-changed warning rather than
-        silently replacing the pin.
+        single key fetch. Otherwise a published signature is verified against
+        the identity key, loaded first, as signed or bad signature; with none
+        published the key is unsigned. ``POLICY`` then decides.
         """
         if key_type not in SUB_KEY_TYPES:
             raise ParameterError("load_signed_key handles chat and sharing keys only")
-        public = self.store.fetch(handle, key_type.key_attribute)
-        if public is None:
-            raise MissingKeyError(f"{handle!r} has no published {key_type.label} key")
-        fingerprint = fingerprint_for(key_type, public)
-        ring = self.ring(key_type)
-        result = ring.compare(handle, fingerprint)
-        existing = ring.get(handle)
+        public, fingerprint, result = self._fetch(handle, key_type, key_type.label)
+        pin = self.ring(key_type).get(handle)
         if (
             result is CompareResult.MATCH
-            and existing.method >= AuthMethod.SIGNATURE_VERIFIED
+            and pin.method >= AuthMethod.SIGNATURE_VERIFIED
         ):
-            return LoadedKey(public, existing.method)
+            return LoadedKey(public, pin.method)
 
+        evidence = "unsigned"
         signature = self.store.fetch(handle, key_type.signature_attribute)
         if signature is not None:
             identity = self.load_identity_key(handle)
-            tracked = existing.fingerprint if existing else None
-            if not verify_key_signature(
+            valid = verify_key_signature(
                 identity.public_octets, key_type, public, signature
-            ):
-                raise SignatureInvalidError(handle, key_type, tracked, fingerprint)
-            if result is CompareResult.MISMATCH:
-                raise KeyChangedWarningError(handle, key_type, tracked, fingerprint)
-            record = ring.track(handle, fingerprint, AuthMethod.SIGNATURE_VERIFIED)
-            return LoadedKey(public, record.method)
+            )
+            evidence = "signed" if valid else "bad signature"
+        record = self._decide(handle, key_type, fingerprint, evidence, result)
+        return LoadedKey(public, record.method)
 
-        # no attestation published: fall back to pin-on-first-sight
-        return self._pin_on_first_sight(handle, key_type, public, fingerprint, result)
+    def _fetch(self, handle: str, key_type: KeyType, name: str):
+        """A contact's published key, its fingerprint and result against the pin."""
+        public = self.store.fetch(handle, key_type.key_attribute)
+        if public is None:
+            raise MissingKeyError(f"{handle!r} has no published {name} key")
+        fingerprint = fingerprint_for(key_type, public)
+        return public, fingerprint, self.ring(key_type).compare(handle, fingerprint)
 
-    def _pin_on_first_sight(
-        self,
-        handle: str,
-        key_type: KeyType,
-        public: bytes,
-        fingerprint: Fingerprint,
-        result: CompareResult,
-    ) -> LoadedKey:
-        """Accept a matching key, pin an unseen one with method SEEN, and
-        raise on a mismatch, leaving the ring unchanged."""
+    def _decide(self, handle, key_type, fingerprint, evidence, result) -> AuthRecord:
+        """Raise the alarm of ``POLICY``'s row for ``evidence`` and ``result``,
+        or track its method; returns the contact's record after it."""
         ring = self.ring(key_type)
-        if result is CompareResult.MATCH:
-            return LoadedKey(public, ring.get(handle).method)
-        if result is CompareResult.ABSENT:
-            record = ring.track(handle, fingerprint, AuthMethod.SEEN)
-            return LoadedKey(public, record.method)
-        raise FingerprintMismatchError(
-            handle, key_type, ring.get(handle).fingerprint, fingerprint
-        )
+        method, alarm = POLICY[evidence, result]
+        if alarm is not None:
+            pin = ring.get(handle)
+            tracked = None if pin is None else pin.fingerprint
+            raise alarm(handle, key_type, tracked, fingerprint)
+        if method is None:
+            return ring.get(handle)
+        return ring.track(handle, fingerprint, method)
 
     # -- manual verification ----------------------------------------------
 
@@ -183,9 +186,9 @@ class Session:
         """Compare an out-of-band identity fingerprint against the pin.
 
         The asserted hex is case-insensitive and may contain ASCII spaces
-        (fingerprints are displayed in groups). On a match the record is
-        upgraded to fingerprint-comparison, the strongest method; on a
-        mismatch the ring is untouched and the caller must warn the user.
+        (fingerprints are displayed in groups). ``POLICY``'s compared rows
+        decide: a match upgrades the record to fingerprint-comparison, the
+        strongest method; a contact with no pin raises MissingRecordError.
         """
         if not isinstance(asserted_hex, str):
             raise ParameterError("asserted fingerprint must be a string")
@@ -195,17 +198,13 @@ class Session:
             raise ParameterError(
                 f"asserted fingerprint must be {2 * FINGERPRINT_OCTETS} hex characters"
             ) from None
-        ring = self.ring(KeyType.IDENTITY_ED25519)
-        record = ring.get(handle)
-        if record is None:
+        key_type = KeyType.IDENTITY_ED25519
+        result = self.ring(key_type).compare(handle, asserted)
+        if result is CompareResult.ABSENT:
             raise MissingRecordError(
                 f"no tracked identity key for {handle!r}; load it first"
             )
-        if record.fingerprint != asserted:
-            raise ComparisonFailedError(
-                handle, KeyType.IDENTITY_ED25519, record.fingerprint, asserted
-            )
-        return ring.track(handle, record.fingerprint, AuthMethod.FINGERPRINT_COMPARISON)
+        return self._decide(handle, key_type, asserted, "compared", result)
 
 
 def init_own_keys(

@@ -268,17 +268,6 @@ class TestInit:
             "publish sig_rsa",
         ]
 
-    def test_failed_key_write_publishes_nothing(self, env):
-        # no file may grow, so the first key file fails to save
-        done = run_under_file_limit(
-            0, "-m", "keyauth.cli", *env.user_args("alice"), "init"
-        )
-        assert done.returncode == EXIT_ERROR
-        assert not list(env.home("alice").glob("*.sk"))
-        # a published identity with no private key behind it is an orphan:
-        # the next init publishes another, and every pin of it alarms
-        assert not env.store_path.exists()
-
 
 class TestKeyFiles:
     def test_layout_is_golden(self, tmp_path, rsa_pair):
@@ -757,6 +746,18 @@ class TestFetch:
         assert code == EXIT_MISSING_KEY
         assert "error[missing-key]" in err
 
+    @pytest.mark.parametrize(
+        "alias, name",
+        [("identity", "identity"), ("chat", "chat-x25519"), ("sharing", "sharing-rsa")],
+    )
+    def test_unpublished_key_text(self, env, capsys, alias, name):
+        env.home("alice").mkdir()
+        code, out, err = env.run(
+            *env.user_args("alice"), "fetch", "nobody", alias, capsys=capsys
+        )
+        assert (code, out) == (EXIT_MISSING_KEY, "")
+        assert err == f"error[missing-key]: 'nobody' has no published {name} key\n"
+
     def test_substituted_identity_exits_2(self, env, capsys):
         init_user(env, capsys, "alice")
         init_user(env, capsys, "bob")
@@ -1139,15 +1140,6 @@ class TestFileErrors:
         code, _, err = env.run("--home", home, "ring", "--all", capsys=capsys)
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
-
-    def test_private_key_cannot_be_written(self, env):
-        key = env.home("alice") / "identity-ed25519.sk"
-        done = run_under_file_limit(
-            0, "-m", "keyauth.cli", *env.user_args("alice"), "init"
-        )
-        code, err = done.returncode, done.stderr
-        assert code == EXIT_ERROR
-        assert err.startswith("error[init]: ") and str(key) in err
 
 
 class TestRing:

@@ -67,6 +67,7 @@ def test_failed_ring_write_keeps_every_pin(run_cli, tmp_path):
 
 
 def test_failed_key_write_leaves_no_key_file(run_cli, tmp_path):
+    # no file may grow, so the first key file fails to save
     done = run_under_file_limit(
         0, "-m", "keyauth.cli", *user_args(tmp_path, "alice"), "init"
     )
@@ -74,6 +75,9 @@ def test_failed_key_write_leaves_no_key_file(run_cli, tmp_path):
     key = tmp_path / "alice" / "identity-ed25519.sk"
     assert done.stderr.startswith("error[init]: ") and str(key) in done.stderr
     assert [path.name for path in (tmp_path / "alice").glob("*.sk")] == []
+    # a published identity with no private key behind it is an orphan:
+    # the next init publishes another, and every pin of it alarms
+    assert not (tmp_path / "store.json").exists()
     assert not list(tmp_path.rglob("*.tmp"))
     assert run_cli("alice", "init")[0] == EXIT_OK
 

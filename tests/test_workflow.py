@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import secrets
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +17,13 @@ from keyauth import (
     AttributeStore,
     AuthMethod,
     AuthRecord,
+    AuthRing,
+    CompareResult,
     ComparisonFailedError,
     FingerprintMismatchError,
+    Fingerprint,
     IdentityKeyPair,
+    KeyAuthError,
     KeyChangedWarningError,
     KeyType,
     MalformedKeyError,
@@ -33,12 +38,14 @@ from keyauth import (
     generate_chat_keypair,
     generate_identity_keypair,
     init_own_keys,
+    method_legal_for,
     sign_public_key,
     unframe_rsa_public,
     SignatureInvalidError,
 )
-from keyauth.keys import fingerprint_for
-from keyauth.workflow import GENERATE, PUBLISH
+from keyauth import workflow
+from keyauth.keys import SUB_KEY_TYPES, fingerprint_for
+from keyauth.workflow import GENERATE, POLICY, PUBLISH
 
 
 @pytest.fixture
@@ -396,11 +403,247 @@ class TestVerifyContactFingerprint:
         assert record.method is AuthMethod.FINGERPRINT_COMPARISON
 
 
+ABSENT = CompareResult.ABSENT
+MATCH = CompareResult.MATCH
+MISMATCH = CompareResult.MISMATCH
+SEEN = AuthMethod.SEEN
+VERIFIED = AuthMethod.SIGNATURE_VERIFIED
+COMPARED = AuthMethod.FINGERPRINT_COMPARISON
+IDENTITY = KeyType.IDENTITY_ED25519
+EVIDENCE_KEY_TYPES = {
+    "unsigned": tuple(KeyType),
+    "signed": SUB_KEY_TYPES,
+    "bad signature": SUB_KEY_TYPES,
+    "compared": (IDENTITY,),
+}
+
+
+def render_policy() -> str:
+    """``POLICY`` as the README's markdown table."""
+    lines = [
+        "| evidence | against the pin | records | raises |",
+        "| --- | --- | --- | --- |",
+    ]
+    for (evidence, result), (method, alarm) in POLICY.items():
+        records = "-" if method is None else f"`{method.label}`"
+        raises = "-" if alarm is None else f"`{alarm.code}`"
+        lines.append(f"| {evidence} | {result.name.lower()} | {records} | {raises} |")
+    return "\n".join(lines) + "\n"
+
+
+class TestPolicyTable:
+    """``POLICY`` is the whole trust decision, so each invariant is checked
+    on every row."""
+
+    def test_every_pair_has_a_row_but_an_unpinned_comparison(self):
+        pairs = {
+            (evidence, result)
+            for evidence in EVIDENCE_KEY_TYPES
+            for result in CompareResult
+        }
+        assert set(POLICY) == pairs - {("compared", ABSENT)}
+
+    def test_a_row_raises_or_tracks(self):
+        for row, (method, alarm) in POLICY.items():
+            assert method is None or alarm is None, row
+            assert alarm is None or issubclass(alarm, KeyAuthError), row
+
+    def test_every_mismatch_row_raises(self):
+        for (evidence, result), (method, alarm) in POLICY.items():
+            if result is MISMATCH:
+                assert alarm is not None and method is None, evidence
+
+    def test_every_bad_signature_row_raises_signature_invalid(self):
+        for (evidence, result), (_, alarm) in POLICY.items():
+            if evidence == "bad signature":
+                assert alarm is SignatureInvalidError, result
+
+    def test_only_unsigned_first_sight_pins_unchecked(self):
+        """A row that records a method with neither a valid signature nor a
+        comparison behind it is a blind spot: the identity key at first
+        contact, and a sub-key whose signature is stripped."""
+        unchecked = [
+            row
+            for row, (method, _) in POLICY.items()
+            if method is not None and row[0] not in ("signed", "compared")
+        ]
+        assert unchecked == [("unsigned", ABSENT)]
+        assert POLICY["unsigned", ABSENT] == (SEEN, None)
+
+    @pytest.mark.parametrize(
+        "row", list(POLICY), ids=lambda row: f"{row[0]}-{row[1].name.lower()}"
+    )
+    def test_no_row_changes_a_pin_or_lowers_a_method(self, row):
+        """Applied to every record the row can meet, a row that does not
+        raise leaves the pinned fingerprint and never lowers the method."""
+        evidence, result = row
+        method, alarm = POLICY[row]
+        for key_type in EVIDENCE_KEY_TYPES[evidence]:
+            if method is not None:
+                assert method_legal_for(key_type, method), key_type
+            priors = [None]
+            if result is not ABSENT:
+                priors = [m for m in AuthMethod if method_legal_for(key_type, m)]
+            for prior in priors:
+                ring = AuthRing(key_type)
+                pinned, other = Fingerprint(bytes(20)), Fingerprint(bytes([1]) * 20)
+                if prior is not None:
+                    ring.track("bob", pinned, prior)
+                before = ring.get("bob")
+                observed = other if result is MISMATCH else pinned
+                if alarm is None and method is not None:
+                    ring.track("bob", observed, method)
+                after = ring.get("bob")
+                if before is None:
+                    assert after is None or after.fingerprint == observed
+                else:
+                    assert after.fingerprint == before.fingerprint
+                    assert after.method >= before.method
+
+    def test_readme_prints_the_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        _, block = readme.split("<!-- POLICY -->\n")
+        block, _ = block.split("<!-- /POLICY -->")
+        assert block == render_policy()
+
+
+class LookupSpy(dict):
+    """A copy of a table that records each row looked up in it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.rows = []
+
+    def __getitem__(self, row):
+        self.rows.append(row)
+        return super().__getitem__(row)
+
+
+def load(session, key_type):
+    if key_type is IDENTITY:
+        return session.load_identity_key("bob")
+    return session.load_signed_key("bob", key_type)
+
+
+# Each case: the row its last lookup takes (None: it takes none), what alice
+# does ("sub" loads each sub-key type in turn), how she pinned the key before,
+# what the store's adversary serves then, the method before and after, the
+# alarm's code and the store round trips.
+WALK = [
+    (("unsigned", ABSENT), "identity", None, (), None, SEEN, None, 1),
+    (("unsigned", MATCH), "identity", "load", (), SEEN, SEEN, None, 1),
+    (("unsigned", MISMATCH), "identity", "load", ("forge",), SEEN, SEEN,
+     "fingerprint-mismatch", 1),
+    (("unsigned", ABSENT), "sub", None, ("strip",), None, SEEN, None, 2),
+    # the second blind spot: a forged sub-key served without its signature
+    (("unsigned", ABSENT), "sub", None, ("forge", "strip"), None, SEEN, None, 2),
+    (("unsigned", MATCH), "sub", "strip", ("strip",), SEEN, SEEN, None, 2),
+    (("unsigned", MISMATCH), "sub", "strip", ("forge", "strip"), SEEN, SEEN,
+     "fingerprint-mismatch", 2),
+    (("signed", ABSENT), "sub", None, (), None, VERIFIED, None, 3),
+    (("signed", MATCH), "sub", "strip", (), SEEN, VERIFIED, None, 3),
+    (("signed", MISMATCH), "sub", "load", ("rotate",), VERIFIED, VERIFIED,
+     "key-changed-warning", 3),
+    (("bad signature", ABSENT), "sub", None, ("forge",), None, None,
+     "signature-invalid", 3),
+    (("bad signature", MATCH), "sub", "strip", ("damage",), SEEN, SEEN,
+     "signature-invalid", 3),
+    (("bad signature", MISMATCH), "sub", "load", ("forge",), VERIFIED, VERIFIED,
+     "signature-invalid", 3),
+    # a sub-key pinned at signature-verified reloads in one fetch, unlooked-up
+    (None, "sub", "load", (), VERIFIED, VERIFIED, None, 1),
+    (None, "sub", "load", ("damage",), VERIFIED, VERIFIED, None, 1),
+    (("compared", MATCH), "compare", "load", (), SEEN, COMPARED, None, 0),
+    (("compared", MISMATCH), "compare wrong", "load", (), SEEN, SEEN,
+     "comparison-failed", 0),
+    (None, "compare", None, (), None, None, "missing-record", 0),
+]
+
+
+def _walk_cases():
+    for row, does, pinned_by, served, *expected in WALK:
+        name = "no row" if row is None else f"{row[0]} {row[1].name.lower()}"
+        served_name = "+".join(served) or "honest"
+        for key_type in SUB_KEY_TYPES if does == "sub" else (IDENTITY,):
+            yield pytest.param(
+                row, does, pinned_by, served, key_type, *expected,
+                id=f"{name}-{does}-{key_type.alias}-{pinned_by}-{served_name}",
+            )
+
+
+class TestPolicyWalk:
+    """Every row, driven through a real Session: the row taken, the ring
+    transition, the alarm and the store round trips."""
+
+    def test_every_row_is_walked(self):
+        assert {row for row, *_ in WALK} - {None} == set(POLICY)
+
+    @pytest.mark.parametrize(
+        "row, does, pinned_by, served, key_type, before, after, code, fetches",
+        list(_walk_cases()),
+    )
+    def test_row(
+        self, world, rsa_pair_alt, monkeypatch,
+        row, does, pinned_by, served, key_type, before, after, code, fetches,
+    ):
+        store, bob, alice = world
+        strip = {("bob", key_type.signature_attribute): None}
+        store.set_adversary(strip if pinned_by == "strip" else {})
+        if pinned_by is not None:
+            load(alice, key_type)
+
+        if key_type is KeyType.SHARING_RSA:
+            forged = rsa_pair_alt.public
+        elif key_type is KeyType.CHAT_X25519:
+            forged = generate_chat_keypair().public
+        else:
+            forged = generate_identity_keypair().public
+        rules = {}
+        if "forge" in served or "rotate" in served:
+            rules["bob", key_type.key_attribute] = forged
+        if "strip" in served:
+            rules.update(strip)
+        if "damage" in served:
+            rules["bob", key_type.signature_attribute] = secrets.token_bytes(64)
+        if "rotate" in served:
+            signature = sign_public_key(bob.identity, key_type, forged)
+            rules["bob", key_type.signature_attribute] = signature.sig
+        store.set_adversary(rules)
+        served_key = rules.get(
+            ("bob", key_type.key_attribute), getattr(bob, key_type.alias).public
+        )
+
+        ring = alice.ring(key_type)
+        pin = ring.get("bob")
+        assert (None if pin is None else pin.method) == before
+        taken = LookupSpy(workflow.POLICY)
+        monkeypatch.setattr(workflow, "POLICY", taken)
+        store.fetches.clear()
+        try:
+            if does == "compare":
+                honest = fingerprint_ec(bob.identity.public)
+                alice.verify_contact_fingerprint("bob", honest.hex())
+            elif does == "compare wrong":
+                alice.verify_contact_fingerprint("bob", "0" * 40)
+            else:
+                loaded = load(alice, key_type)
+                assert loaded.method is after
+                assert loaded.public_octets == served_key
+        except KeyAuthError as exc:
+            assert exc.code == code
+            assert ring.get("bob") == pin
+        else:
+            assert code is None
+            record = ring.get("bob")
+            assert record.method is after
+            assert record.fingerprint == fingerprint_for(key_type, served_key)
+        assert store.fetches.total() == fetches
+        assert taken.rows[-1:] == ([] if row is None else [row])
+
+
 class TestSession:
     def test_loads_each_ring_once_on_first_use(self, world):
         store, _, _ = world
-        from keyauth import AuthRing
-
         loads = []
 
         def load_ring(key_type):
@@ -416,8 +659,6 @@ class TestSession:
 
     def test_ring_type_must_line_up(self, world):
         store, _, _ = world
-        from keyauth import AuthRing
-
         alice = Session(store, lambda _: AuthRing(KeyType.CHAT_X25519))
         with pytest.raises(ParameterError):
             alice.load_identity_key("bob")
