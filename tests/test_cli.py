@@ -268,6 +268,17 @@ class TestInit:
             "publish sig_rsa",
         ]
 
+    def test_failed_key_write_publishes_nothing(self, env):
+        # no file may grow, so the first key file fails to save
+        done = run_under_file_limit(
+            0, "-m", "keyauth.cli", *env.user_args("alice"), "init"
+        )
+        assert done.returncode == EXIT_ERROR
+        assert not list(env.home("alice").glob("*.sk"))
+        # a published identity with no private key behind it is an orphan:
+        # the next init publishes another, and every pin of it alarms
+        assert not env.store_path.exists()
+
 
 class TestKeyFiles:
     def test_layout_is_golden(self, tmp_path, rsa_pair):
@@ -1140,6 +1151,15 @@ class TestFileErrors:
         code, _, err = env.run("--home", home, "ring", "--all", capsys=capsys)
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
+
+    def test_private_key_cannot_be_written(self, env):
+        key = env.home("alice") / "identity-ed25519.sk"
+        done = run_under_file_limit(
+            0, "-m", "keyauth.cli", *env.user_args("alice"), "init"
+        )
+        code, err = done.returncode, done.stderr
+        assert code == EXIT_ERROR
+        assert err.startswith("error[init]: ") and str(key) in err
 
 
 class TestRing:
