@@ -16,7 +16,7 @@ import os
 import random
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,10 +28,11 @@ from .errors import (
     KeyChangedWarningError,
     MissingKeyError,
     SignatureInvalidError,
+    StoreUnavailableError,
 )
 from .keys import KeyType, fingerprint_ec
 from .scenarios import SCENARIO_NAMES, build_rsa_pool, run_scenario
-from .store import AttributeStore, replace_file
+from .store import AttributeStore, hold_dirs, replace_file
 from .workflow import PUBLISH, OwnKeyMaterial, Session, init_own_keys
 
 EXIT_OK = 0
@@ -78,10 +79,17 @@ def group_fingerprint_hex(hex40: str) -> str:
 #                                       bytes a read session fully validated
 #
 # Every file is read by _read and written by _write, which replaces it whole
-# at mode 0600 when its bytes change, so a failed write leaves the old file.
-# init writes the private key files and creates the ring files that are absent,
-# and never touches store.verified; any other command writes only the rings
-# whose records it changed, and the record after a store open in full.
+# at mode 0600 when its bytes change, so a failed write leaves the old file;
+# nothing is synced, so power loss can still tear one. init writes the private
+# key files and creates the ring files that are absent, and never touches
+# store.verified; any other command writes only the rings whose records it
+# changed, and the record after a store open in full. All but ring hold the dir
+# (init the store's too) under an advisory lock from first read to last write,
+# so commands on one dir run one at a time, and sweep a killed one's temp files.
+_HOME_FILES = ["store.verified"] + [
+    f"{key_type.label}.{kind}" for key_type in KeyType for kind in ("sk", "ring")
+]
+
 
 def _read(path: Path) -> bytes | None:
     """The file's bytes, or None when it is absent."""
@@ -186,59 +194,53 @@ def _report(exc: KeyAuthError) -> None:
         print(exc.advice, file=sys.stderr)
 
 
-def _require_home(args) -> None:
-    """Refuse to read rings from an identity dir that init has not made."""
-    if not args.home.is_dir():
-        raise InitError(f"no identity dir at {args.home}; run init first")
-
-
 @contextmanager
-def _session(args) -> Iterator[Session]:
-    """A session over the store and the identity dir's rings. A ring file is
-    parsed only when a decision first needs it, and on exit the rings whose
-    ``changed`` flag is set are saved, even when a load raised: an alarm can
-    follow a new identity pin. A save that fails then is reported on stderr
-    and the load's error propagates, so a failed write never replaces an
-    alarm. A ring is changed only when a record was added, upgraded or
-    removed, so a ring that was only read is not serialised at all.
-
-    The store opens unvalidated when its bytes are those the identity dir's
-    store.verified records; a full open records them. The record only spares
-    work, so one that cannot be read counts as absent and one that cannot be
-    written is dropped without a word."""
-    _require_home(args)
-    record = args.home / "store.verified"
-    try:
-        verified = _read(record) or b""
-    except InitError:
-        verified = b""
-    store = AttributeStore(args.store, verified=verified)
-    if store.record is not None:
+def _identity_dir(args) -> Iterator[Session]:
+    """The one owner of the identity dir for the life of ``args.command``.
+    It yields a session (on an empty store for ring) whose rings are read on
+    first use, and on exit saves those ``changed``, even when the command
+    raised, as an alarm can follow a new pin; a save that fails then is only
+    reported. The store.verified record only spares work: its errors pass."""
+    home, path, command = args.home, args.store, args.command
+    if command == "init":
         try:
-            _write(record, store.record)
-        except InitError:
-            pass
-
-    def load_ring(key_type: KeyType) -> AuthRing:
+            home.mkdir(parents=True, exist_ok=True, mode=0o700)
+        except OSError as exc:
+            raise InitError(f"cannot create identity dir {home}: {exc}") from exc
+    elif not home.is_dir():
+        raise InitError(f"no identity dir at {home}; run init first")
+    dirs = [(home, _HOME_FILES, InitError, f"cannot read {home}")]
+    if command == "init":
+        message = f"cannot write store {path}"
+        dirs.append((path.parent, [path.name], StoreUnavailableError, message))
+    with hold_dirs([] if command == "ring" else dirs):
+        record, verified = home / "store.verified", None
+        if command not in ("init", "ring"):
+            verified = b""
+            with suppress(InitError):
+                verified = _read(record) or b""
+        store = AttributeStore(None if command == "ring" else path, verified=verified)
+        if store.record is not None:
+            with suppress(InitError):
+                _write(record, store.record)
         # load_rings is looked up at each call, so a rebound name sees every load
-        return load_rings(args.home, [key_type])[key_type]
-
-    def save_changed_rings() -> None:
-        save_rings(
-            args.home,
-            {kt: ring for kt, ring in session.rings.items() if ring.changed},
-        )
-
-    session = Session(store, load_ring)
-    try:
-        yield session
-    except BaseException:
+        session = Session(store, lambda kt: load_rings(home, [kt])[kt])
+        done = False
         try:
-            save_changed_rings()
-        except InitError as exc:
-            _report(exc)
-        raise
-    save_changed_rings()
+            yield session
+            done = True
+        finally:
+            rings = {kt: ring for kt, ring in session.rings.items() if ring.changed}
+            if command == "init" and done:
+                # init reads no ring; it only creates the ring files that are absent
+                absent = [t for t in KeyType if not (home / f"{t.label}.ring").exists()]
+                rings = {kt: AuthRing(kt) for kt in absent}
+            try:
+                save_rings(home, rings)
+            except InitError as exc:
+                if done:
+                    raise
+                _report(exc)  # a failed write never replaces an alarm
 
 
 # -- commands -----------------------------------------------------------------
@@ -247,21 +249,12 @@ def _session(args) -> Iterator[Session]:
 def cmd_init(args) -> int:
     _require(args, "store", "home", "user")
     checked_handle(args.user)
-    home = args.home
-    try:
-        home.mkdir(parents=True, exist_ok=True, mode=0o700)
-    except OSError as exc:
-        raise InitError(f"cannot create identity dir {home}: {exc}") from exc
-
-    existing = load_own_material(home)
-    store = AttributeStore(args.store)
-    material, report = init_own_keys(store, args.user, existing)
-    save_own_material(home, material)
-    # init reads no ring; it only creates the ring files that are absent
-    absent = [kt for kt in KeyType if not (home / f"{kt.label}.ring").exists()]
-    save_rings(home, {kt: AuthRing(kt) for kt in absent})
-    if any(action.action == PUBLISH for action in report):
-        store.save()
+    with _identity_dir(args) as session:
+        existing = load_own_material(args.home)
+        material, report = init_own_keys(session.store, args.user, existing)
+        save_own_material(args.home, material)
+        if any(action.action == PUBLISH for action in report):
+            session.store.save()
 
     for action in report:
         print(f"{action.action}\t{action.target}" if args.machine else action)
@@ -278,41 +271,36 @@ def cmd_credentials(args) -> int:
     if handle is None or handle == args.user:
         material = load_own_material(args.home)
         if material.identity is None:
-            raise MissingKeyError(
-                "own identity key not initialised; run init first"
-            )
+            raise MissingKeyError("own identity key not initialised; run init first")
         fingerprint = fingerprint_ec(material.identity.public)
     else:
         _require(args, "store")
-        with _session(args) as session:
+        with _identity_dir(args) as session:
             loaded = session.load_identity_key(handle)
         fingerprint = fingerprint_ec(loaded.public_octets)
-    if args.machine:
-        print(fingerprint.hex())
-    else:
-        print(group_fingerprint_hex(fingerprint.hex()))
+    hex40 = fingerprint.hex()
+    print(hex40 if args.machine else group_fingerprint_hex(hex40))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     _require(args, "store", "home")
     asserted = " ".join(args.fingerprint)
-    with _session(args) as session:
+    with _identity_dir(args) as session:
         record = session.verify_contact_fingerprint(args.handle, asserted)
+    hex40 = record.fingerprint.hex()
     if args.machine:
-        print(f"verified\t{args.handle}\t{record.fingerprint.hex()}")
+        print(f"verified\t{args.handle}\t{hex40}")
     else:
-        print(
-            f"fingerprint comparison recorded for {args.handle}: "
-            f"{group_fingerprint_hex(record.fingerprint.hex())}"
-        )
+        grouped = group_fingerprint_hex(hex40)
+        print(f"fingerprint comparison recorded for {args.handle}: {grouped}")
     return EXIT_OK
 
 
 def cmd_fetch(args) -> int:
     _require(args, "store", "home")
     key_type = _KEY_TYPE_ALIASES[args.key_type]
-    with _session(args) as session:
+    with _identity_dir(args) as session:
         if key_type is KeyType.IDENTITY_ED25519:
             loaded = session.load_identity_key(args.handle)
         else:
@@ -326,8 +314,7 @@ def cmd_fetch(args) -> int:
     if args.machine:
         print("\t".join(value for _, value in fields))
     else:
-        for name, value in fields:
-            print(f"{name}: {value}")
+        print("\n".join(f"{name}: {value}" for name, value in fields))
     return EXIT_OK
 
 
@@ -339,20 +326,18 @@ def cmd_ring(args) -> int:
         if args.key_type is None:
             raise _UsageError("give a key type or --all")
         key_types = [_KEY_TYPE_ALIASES[args.key_type]]
-    _require_home(args)
-    for key_type, ring in load_rings(args.home, key_types).items():
+    with _identity_dir(args) as session:
+        rings = [session.ring(key_type) for key_type in key_types]
+    for ring in rings:
         for handle, record in ring.records():
             columns = (
-                key_type.label,
+                ring.key_type.label,
                 handle,
                 record.fingerprint.hex(),
                 record.method.label,
                 str(record.trust),
             )
-            if args.machine:
-                print("\t".join(columns))
-            else:
-                print(" ".join(columns))
+            print(("\t" if args.machine else " ").join(columns))
     return EXIT_OK
 
 
@@ -472,10 +457,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except KeyAuthError as exc:
         _report(exc)
-        for error_class, code in _EXIT_BY_ERROR:
-            if isinstance(exc, error_class):
-                return code
-        return EXIT_ERROR
+        codes = (code for error, code in _EXIT_BY_ERROR if isinstance(exc, error))
+        return next(codes, EXIT_ERROR)
 
 
 def run() -> None:

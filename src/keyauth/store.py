@@ -11,15 +11,17 @@ in ``fetches`` per (handle, attribute) to make round-trip costs observable.
 from __future__ import annotations
 
 import base64
+import fcntl
 import hashlib
 import json
 import os
+import re
 from bisect import bisect_right
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .authring import MAX_HANDLE_OCTETS, checked_handle
 from .errors import ParameterError, PublishError, StoreUnavailableError
@@ -276,6 +278,41 @@ def replace_file(path: Path, chunks: Iterable[bytes], mode: int | None = None) -
         with suppress(OSError):
             os.unlink(temp)
         raise
+
+
+_TEMP_NAME = re.compile(r"\.(.+)\.[0-9a-f]{16}\.tmp")  # as replace_file names it
+
+
+@contextmanager
+def hold_dirs(dirs: Iterable[tuple]) -> Iterator[None]:
+    """Hold each of ``dirs`` (a path, the names of the files kept there, and
+    the error class and message for a failed open) by flock(2) on its own fd,
+    each directory once, in (st_dev, st_ino) order, so holders never deadlock,
+    and remove a killed replace_file's temporary files beside those names. A
+    failed removal ends the sweep; a failed flock(2) skips lock and sweep."""
+    held: dict[tuple[int, int], tuple[int, set[str]]] = {}
+    try:
+        for path, names, error, message in dirs:
+            try:
+                fd = os.open(path, os.O_RDONLY)
+            except OSError as exc:
+                raise error(f"{message}: {exc}") from exc
+            info = os.fstat(fd)
+            kept, kept_names = held.setdefault((info.st_dev, info.st_ino), (fd, set()))
+            if kept != fd:  # a second fd on one directory would lock it out
+                os.close(fd)
+            kept_names.update(names)
+        for fd, names in map(held.get, sorted(held)):
+            with suppress(OSError), os.scandir(fd) as entries:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                for entry in entries:
+                    temp = _TEMP_NAME.fullmatch(entry.name)
+                    if temp and temp[1] in names and entry.is_file(follow_symlinks=False):
+                        os.unlink(entry.name, dir_fd=fd)
+        yield
+    finally:
+        for fd, _ in held.values():
+            os.close(fd)
 
 
 def _encode_attribute(attribute: str, octets: bytes) -> str | dict[str, str]:

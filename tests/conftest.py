@@ -33,6 +33,11 @@ def make_entropy(seed: bytes):
     return entropy
 
 
+# a child process runs keyauth from this checkout's source
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(SRC))
+
+
 def run_under_file_limit(limit: int, *argv) -> subprocess.CompletedProcess:
     """Run ``python *argv`` in a child process whose files cannot grow past
     ``limit`` octets: RLIMIT_FSIZE, with SIGXFSZ ignored, makes any write
@@ -44,15 +49,26 @@ def run_under_file_limit(limit: int, *argv) -> subprocess.CompletedProcess:
         _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
         resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
 
-    src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, *map(str, argv)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=CHILD_ENV,
         preexec_fn=limit_file_size,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.fixture(scope="session")
+def init_without_file_room(tmp_path_factory):
+    """One child ``keyauth init`` for alice, with the store and her home in a
+    fresh directory, run where no file may grow, so the first key file fails
+    to save. Returns the directory and the finished child. The tests that
+    check what this run leaves share it, so RSA is generated once for all of
+    them; none of them may change the directory."""
+    base = tmp_path_factory.mktemp("no-file-room")
+    argv = ["--store", base / "store.json", "--home", base / "alice", "--user", "alice"]
+    return base, run_under_file_limit(0, "-m", "keyauth.cli", *argv, "init")
 
 
 @pytest.fixture(scope="session")

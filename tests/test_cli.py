@@ -268,16 +268,14 @@ class TestInit:
             "publish sig_rsa",
         ]
 
-    def test_failed_key_write_publishes_nothing(self, env):
+    def test_failed_key_write_publishes_nothing(self, init_without_file_room):
         # no file may grow, so the first key file fails to save
-        done = run_under_file_limit(
-            0, "-m", "keyauth.cli", *env.user_args("alice"), "init"
-        )
+        base, done = init_without_file_room
         assert done.returncode == EXIT_ERROR
-        assert not list(env.home("alice").glob("*.sk"))
+        assert not list((base / "alice").glob("*.sk"))
         # a published identity with no private key behind it is an orphan:
         # the next init publishes another, and every pin of it alarms
-        assert not env.store_path.exists()
+        assert not (base / "store.json").exists()
 
 
 class TestKeyFiles:
@@ -1152,11 +1150,9 @@ class TestFileErrors:
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(ring) in err
 
-    def test_private_key_cannot_be_written(self, env):
-        key = env.home("alice") / "identity-ed25519.sk"
-        done = run_under_file_limit(
-            0, "-m", "keyauth.cli", *env.user_args("alice"), "init"
-        )
+    def test_private_key_cannot_be_written(self, init_without_file_room):
+        base, done = init_without_file_room
+        key = base / "alice" / "identity-ed25519.sk"
         code, err = done.returncode, done.stderr
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(key) in err

@@ -9,6 +9,7 @@ the bytes it held before, with no temporary file left behind.
 from __future__ import annotations
 
 import os
+import shutil
 
 import pytest
 
@@ -66,19 +67,21 @@ def test_failed_ring_write_keeps_every_pin(run_cli, tmp_path):
     assert run_cli("alice", "fetch", "bob", "identity") == (EXIT_OK, "")
 
 
-def test_failed_key_write_leaves_no_key_file(run_cli, tmp_path):
+def test_failed_key_write_leaves_no_key_file(
+    run_cli, tmp_path, init_without_file_room
+):
     # no file may grow, so the first key file fails to save
-    done = run_under_file_limit(
-        0, "-m", "keyauth.cli", *user_args(tmp_path, "alice"), "init"
-    )
+    base, done = init_without_file_room
     assert done.returncode == EXIT_ERROR
-    key = tmp_path / "alice" / "identity-ed25519.sk"
+    key = base / "alice" / "identity-ed25519.sk"
     assert done.stderr.startswith("error[init]: ") and str(key) in done.stderr
-    assert [path.name for path in (tmp_path / "alice").glob("*.sk")] == []
+    assert [path.name for path in (base / "alice").glob("*.sk")] == []
     # a published identity with no private key behind it is an orphan:
     # the next init publishes another, and every pin of it alarms
-    assert not (tmp_path / "store.json").exists()
-    assert not list(tmp_path.rglob("*.tmp"))
+    assert not (base / "store.json").exists()
+    assert not list(base.rglob("*.tmp"))
+    # the next init, on a copy, as the run is shared
+    shutil.copytree(base, tmp_path, dirs_exist_ok=True)
     assert run_cli("alice", "init")[0] == EXIT_OK
 
 
