@@ -80,12 +80,14 @@ def group_fingerprint_hex(hex40: str) -> str:
 #
 # Every file is read by _read and written by _write, which replaces it whole
 # at mode 0600 when its bytes change, so a failed write leaves the old file;
-# nothing is synced, so power loss can still tear one. init writes the private
-# key files and creates the ring files that are absent, and never touches
-# store.verified; any other command writes only the rings whose records it
-# changed, and the record after a store open in full. All but ring hold the dir
-# (init the store's too) under an advisory lock from first read to last write,
-# so commands on one dir run one at a time, and sweep a killed one's temp files.
+# nothing is synced, so power loss can still tear one. init holds the home and
+# the store's directory, writes the private key files and, once it succeeded,
+# creates the ring files that are absent; it never touches store.verified.
+# fetch, verify and credentials <handle> hold the home, use store.verified and
+# write only the rings whose records they changed. ring and own credentials
+# read their files and take no lock. A held directory is locked (advisory
+# flock) from first read to last write, so commands on it run one at a time,
+# and a killed command's temp files there are swept.
 _HOME_FILES = ["store.verified"] + [
     f"{key_type.label}.{kind}" for key_type in KeyType for kind in ("sk", "ring")
 ]
@@ -194,53 +196,46 @@ def _report(exc: KeyAuthError) -> None:
         print(exc.advice, file=sys.stderr)
 
 
-@contextmanager
-def _identity_dir(args) -> Iterator[Session]:
-    """The one owner of the identity dir for the life of ``args.command``.
-    It yields a session (on an empty store for ring) whose rings are read on
-    first use, and on exit saves those ``changed``, even when the command
-    raised, as an alarm can follow a new pin; a save that fails then is only
-    reported. The store.verified record only spares work: its errors pass."""
-    home, path, command = args.home, args.store, args.command
-    if command == "init":
-        try:
-            home.mkdir(parents=True, exist_ok=True, mode=0o700)
-        except OSError as exc:
-            raise InitError(f"cannot create identity dir {home}: {exc}") from exc
-    elif not home.is_dir():
+def _existing_home(home: Path) -> Path:
+    """``home``, which a command that does not create it needs to exist."""
+    if not home.is_dir():
         raise InitError(f"no identity dir at {home}; run init first")
-    dirs = [(home, _HOME_FILES, InitError, f"cannot read {home}")]
-    if command == "init":
-        message = f"cannot write store {path}"
-        dirs.append((path.parent, [path.name], StoreUnavailableError, message))
-    with hold_dirs([] if command == "ring" else dirs):
-        record, verified = home / "store.verified", None
-        if command not in ("init", "ring"):
-            verified = b""
-            with suppress(InitError):
-                verified = _read(record) or b""
-        store = AttributeStore(None if command == "ring" else path, verified=verified)
+    return home
+
+
+def _hold_home(home: Path, *more: tuple):
+    """Hold the home, and ``more`` directories given as hold_dirs takes them."""
+    return hold_dirs([(home, _HOME_FILES, InitError, f"cannot read {home}"), *more])
+
+
+@contextmanager
+def _contact_session(args) -> Iterator[Session]:
+    """A session for a command that loads contacts, on the held home: its rings
+    are read on first use, and on exit those ``changed`` are saved, even when
+    the command raised, as an alarm can follow a new pin; a save that fails
+    then is only reported. The store.verified record only spares work: its
+    errors pass."""
+    home = _existing_home(args.home)
+    with _hold_home(home):
+        record, verified = home / "store.verified", b""
+        with suppress(InitError):
+            verified = _read(record) or b""
+        store = AttributeStore(args.store, verified=verified)
         if store.record is not None:
             with suppress(InitError):
                 _write(record, store.record)
         # load_rings is looked up at each call, so a rebound name sees every load
         session = Session(store, lambda kt: load_rings(home, [kt])[kt])
-        done = False
+        changed = lambda: {kt: r for kt, r in session.rings.items() if r.changed}
         try:
             yield session
-            done = True
-        finally:
-            rings = {kt: ring for kt, ring in session.rings.items() if ring.changed}
-            if command == "init" and done:
-                # init reads no ring; it only creates the ring files that are absent
-                absent = [t for t in KeyType if not (home / f"{t.label}.ring").exists()]
-                rings = {kt: AuthRing(kt) for kt in absent}
+        except BaseException:
             try:
-                save_rings(home, rings)
+                save_rings(home, changed())
             except InitError as exc:
-                if done:
-                    raise
                 _report(exc)  # a failed write never replaces an alarm
+            raise
+        save_rings(home, changed())
 
 
 # -- commands -----------------------------------------------------------------
@@ -249,12 +244,21 @@ def _identity_dir(args) -> Iterator[Session]:
 def cmd_init(args) -> int:
     _require(args, "store", "home", "user")
     checked_handle(args.user)
-    with _identity_dir(args) as session:
-        existing = load_own_material(args.home)
-        material, report = init_own_keys(session.store, args.user, existing)
-        save_own_material(args.home, material)
+    home, path = args.home, args.store
+    try:
+        home.mkdir(parents=True, exist_ok=True, mode=0o700)
+    except OSError as exc:
+        raise InitError(f"cannot create identity dir {home}: {exc}") from exc
+    message = f"cannot write store {path}"
+    with _hold_home(home, (path.parent, [path.name], StoreUnavailableError, message)):
+        store = AttributeStore(path)
+        material, report = init_own_keys(store, args.user, load_own_material(home))
+        save_own_material(home, material)
         if any(action.action == PUBLISH for action in report):
-            session.store.save()
+            store.save()
+        # init reads no ring; it only creates the ring files that are absent
+        absent = [kt for kt in KeyType if not (home / f"{kt.label}.ring").exists()]
+        save_rings(home, {kt: AuthRing(kt) for kt in absent})
 
     for action in report:
         print(f"{action.action}\t{action.target}" if args.machine else action)
@@ -275,7 +279,7 @@ def cmd_credentials(args) -> int:
         fingerprint = fingerprint_ec(material.identity.public)
     else:
         _require(args, "store")
-        with _identity_dir(args) as session:
+        with _contact_session(args) as session:
             loaded = session.load_identity_key(handle)
         fingerprint = fingerprint_ec(loaded.public_octets)
     hex40 = fingerprint.hex()
@@ -286,7 +290,7 @@ def cmd_credentials(args) -> int:
 def cmd_verify(args) -> int:
     _require(args, "store", "home")
     asserted = " ".join(args.fingerprint)
-    with _identity_dir(args) as session:
+    with _contact_session(args) as session:
         record = session.verify_contact_fingerprint(args.handle, asserted)
     hex40 = record.fingerprint.hex()
     if args.machine:
@@ -300,7 +304,7 @@ def cmd_verify(args) -> int:
 def cmd_fetch(args) -> int:
     _require(args, "store", "home")
     key_type = _KEY_TYPE_ALIASES[args.key_type]
-    with _identity_dir(args) as session:
+    with _contact_session(args) as session:
         if key_type is KeyType.IDENTITY_ED25519:
             loaded = session.load_identity_key(args.handle)
         else:
@@ -320,15 +324,10 @@ def cmd_fetch(args) -> int:
 
 def cmd_ring(args) -> int:
     _require(args, "home")
-    if args.all:
-        key_types = list(KeyType)
-    else:
-        if args.key_type is None:
-            raise _UsageError("give a key type or --all")
-        key_types = [_KEY_TYPE_ALIASES[args.key_type]]
-    with _identity_dir(args) as session:
-        rings = [session.ring(key_type) for key_type in key_types]
-    for ring in rings:
+    if not args.all and args.key_type is None:
+        raise _UsageError("give a key type or --all")
+    key_types = list(KeyType) if args.all else [_KEY_TYPE_ALIASES[args.key_type]]
+    for ring in load_rings(_existing_home(args.home), key_types).values():
         for handle, record in ring.records():
             columns = (
                 ring.key_type.label,

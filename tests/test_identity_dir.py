@@ -3,10 +3,11 @@ another, and a temporary file left by a killed write goes with the next
 command that locks its directory.
 
 Every command that may write holds the home, and ``init`` the store's
-directory too, under flock(2). These tests hold such a lock themselves and
-watch a child command wait for it, and plant the temporary files that a
-killed write leaves. Every user's keys are written beforehand, so no child
-generates RSA.
+directory too, under flock(2); ``ring`` and own ``credentials`` only read and
+take no lock. These tests hold such a lock themselves and watch a child
+command wait for it, race two children on one home, and plant the temporary
+files that a killed write leaves. Every user's keys are written beforehand,
+so no child generates RSA.
 """
 
 from __future__ import annotations
@@ -135,6 +136,51 @@ class TestLock:
             assert ring.read_bytes() == empty
         assert finish(child) == (EXIT_OK, "")
         assert ring.read_bytes() != empty  # bob's chat key is pinned
+
+    def test_two_fetches_at_once_keep_both_pins(self, env, capsys):
+        """Two children fetch different contacts' chat keys into one home at
+        once: each waits after its imports for the end of one shared pipe, so
+        their commands start together. Each pins its contact's chat and
+        identity keys, and neither save drops the other's pins."""
+        for user in ("bob", "carol", "alice"):
+            assert env.run(user, "init") == EXIT_OK
+        gate, release = os.pipe()
+        script = "import sys\nfrom keyauth import cli\nsys.stdin.read()\ncli.run()\n"
+        children = []
+        for contact in ("bob", "carol"):
+            argv = env.argv("alice", "fetch", contact, "chat")
+            children.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", script, *argv],
+                    env=CHILD_ENV,
+                    stdin=gate,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        os.close(gate)
+        time.sleep(0.5)  # both children reach the gate
+        os.close(release)
+        assert [finish(child) for child in children] == [(EXIT_OK, "")] * 2
+        capsys.readouterr()
+        home = str(env.home("alice"))
+        assert main(["--home", home, "--machine", "ring", "--all"]) == EXIT_OK
+        rows = [row.split("\t")[:2] for row in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            [key_type, contact]
+            for key_type in ("identity-ed25519", "chat-x25519")
+            for contact in ("bob", "carol")
+        ]
+
+    def test_ring_and_own_credentials_take_no_lock(self, env, capsys):
+        """They only read, so a held home does not stop them; were they to
+        wait, the deadline would fail the test."""
+        assert env.run("alice", "init") == EXIT_OK
+        home = env.home("alice")
+        with locked(home):
+            assert main(["--home", str(home), "ring", "--all"]) == EXIT_OK
+            assert env.run("alice", "credentials") == EXIT_OK
 
     @pytest.mark.parametrize("spelling", ["same-path", "symlink"])
     def test_init_with_the_store_in_the_home(self, env, capsys, tmp_path, spelling):

@@ -344,6 +344,37 @@ class TestKeyChange:
             alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert exc_info.value.key_type is KeyType.IDENTITY_ED25519
 
+    def test_replayed_old_sub_key_is_verified_at_first_contact(
+        self, world, monkeypatch
+    ):
+        """A signature gives origin, not freshness: bob's old chat key,
+        replayed with its old and still valid signature after he rotated it,
+        takes the signed, absent row at first contact and is pinned at
+        signature-verified. Only a later load of his current key exposes it,
+        as a key change."""
+        store, bob, alice = world
+        old_chat, old_signature = bob.chat.public, store.fetch("bob", "sig_x25519")
+        new_chat = generate_chat_keypair().public
+        signature = sign_public_key(bob.identity, KeyType.CHAT_X25519, new_chat)
+        store.publish("bob", "x25519_pub", new_chat)
+        store.publish("bob", "sig_x25519", signature.sig)
+        store.set_adversary(
+            {("bob", "x25519_pub"): old_chat, ("bob", "sig_x25519"): old_signature}
+        )
+        taken = LookupSpy(workflow.POLICY)
+        monkeypatch.setattr(workflow, "POLICY", taken)
+        loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
+        assert taken.rows[-1] == ("signed", CompareResult.ABSENT)
+        assert loaded.public_octets == old_chat
+        assert alice.ring(KeyType.CHAT_X25519).get("bob") == AuthRecord(
+            fingerprint_ec(old_chat), AuthMethod.SIGNATURE_VERIFIED
+        )
+        store.set_adversary({})
+        with pytest.raises(KeyChangedWarningError) as exc_info:
+            alice.load_signed_key("bob", KeyType.CHAT_X25519)
+        assert exc_info.value.tracked == fingerprint_ec(old_chat)
+        assert exc_info.value.observed == fingerprint_ec(new_chat)
+
 
 class TestVerifyContactFingerprint:
     def test_match_upgrades_to_strongest(self, world):
@@ -616,6 +647,9 @@ class TestPolicyWalk:
         ring = alice.ring(key_type)
         pin = ring.get("bob")
         assert (None if pin is None else pin.method) == before
+        observed = fingerprint_for(key_type, served_key)
+        if does == "compare wrong":
+            observed = Fingerprint(bytes(20))  # the "0" * 40 asserted below
         taken = LookupSpy(workflow.POLICY)
         monkeypatch.setattr(workflow, "POLICY", taken)
         store.fetches.clear()
@@ -632,13 +666,24 @@ class TestPolicyWalk:
         except KeyAuthError as exc:
             assert exc.code == code
             assert ring.get("bob") == pin
+            if code != "missing-record":
+                assert (exc.handle, exc.key_type) == ("bob", key_type)
+                assert exc.tracked == (None if pin is None else pin.fingerprint)
+                assert exc.observed == observed
         else:
             assert code is None
             record = ring.get("bob")
             assert record.method is after
-            assert record.fingerprint == fingerprint_for(key_type, served_key)
+            assert record.fingerprint == observed
         assert store.fetches.total() == fetches
         assert taken.rows[-1:] == ([] if row is None else [row])
+        if does == "sub":
+            # a load that reads a signature loads the identity key first, and
+            # the first such load pins the served one at seen
+            identity = None
+            if pinned_by == "load" or row[0] != "unsigned":
+                identity = AuthRecord(fingerprint_ec(bob.identity.public), SEEN)
+            assert alice.ring(IDENTITY).get("bob") == identity
 
 
 class TestSession:
