@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     TruncatedRingError,
 )
-from .keys import FINGERPRINT_OCTETS, Fingerprint, KeyType
+from .keys import FINGERPRINT_OCTETS, SUB_KEY_TYPES, Fingerprint, KeyType
 
 RING_MAGIC = b"MKAR"
 RING_VERSION = 0x01
@@ -51,9 +51,9 @@ def method_legal_for(key_type: KeyType, method: AuthMethod) -> bool:
     """Fingerprints are only compared for the identity key; signatures only
     exist for sub-keys. SEEN is legal everywhere."""
     if method is AuthMethod.FINGERPRINT_COMPARISON:
-        return key_type is KeyType.IDENTITY_ED25519
+        return key_type not in SUB_KEY_TYPES
     if method is AuthMethod.SIGNATURE_VERIFIED:
-        return key_type is not KeyType.IDENTITY_ED25519
+        return key_type in SUB_KEY_TYPES
     return True
 
 

@@ -305,10 +305,7 @@ def cmd_fetch(args) -> int:
     _require(args, "store", "home")
     key_type = _KEY_TYPE_ALIASES[args.key_type]
     with _contact_session(args) as session:
-        if key_type is KeyType.IDENTITY_ED25519:
-            loaded = session.load_identity_key(args.handle)
-        else:
-            loaded = session.load_signed_key(args.handle, key_type)
+        loaded = session.load(args.handle, key_type)
     fields = [
         ("key type", key_type.label),
         ("public key", base64.b64encode(loaded.public_octets).decode("ascii")),

@@ -67,29 +67,42 @@ class Fingerprint:
             raise MalformedKeyError("fingerprint hex contains non-hex characters") from None
 
 
+def derive_ed25519_public(private: bytes) -> bytes:
+    """Recompute the Ed25519 public key from a 32-octet seed."""
+    _require_octets("identity private seed", private, EC_KEY_OCTETS)
+    return Ed25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+
+
+def derive_x25519_public(private: bytes) -> bytes:
+    """Recompute the X25519 public key from a 32-octet scalar."""
+    _require_octets("chat private scalar", private, EC_KEY_OCTETS)
+    return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
+
+
 @dataclass(frozen=True)
-class IdentityKeyPair:
-    """Ed25519 signing pair from ``private``, the 32-octet seed. ``public``
-    is derived from it (RFC 8032 §5.1.5), so the pair is always consistent."""
+class _ECKeyPair:
+    """An EC pair from ``private``; ``public`` is derived from it by the
+    subclass's ``_derive``, so the pair is always consistent."""
 
     private: bytes
     public: bytes = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "public", derive_ed25519_public(self.private))
+        object.__setattr__(self, "public", self._derive(self.private))
 
 
-@dataclass(frozen=True)
-class ChatKeyPair:
-    """X25519 agreement pair from ``private``, the clamped 32-octet scalar.
-    ``public`` is derived from it (RFC 7748 §6.1), so the pair is always
-    consistent."""
+class IdentityKeyPair(_ECKeyPair):
+    """Ed25519 signing pair from ``private``, the 32-octet seed; ``public``
+    is derived as RFC 8032 §5.1.5 says."""
 
-    private: bytes
-    public: bytes = field(init=False)
+    _derive = staticmethod(derive_ed25519_public)
 
-    def __post_init__(self):
-        object.__setattr__(self, "public", derive_x25519_public(self.private))
+
+class ChatKeyPair(_ECKeyPair):
+    """X25519 agreement pair from ``private``, the clamped 32-octet scalar;
+    ``public`` is derived as RFC 7748 §6.1 says."""
+
+    _derive = staticmethod(derive_x25519_public)
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,7 @@ class KeyType(Enum):
 
 
 # the key types the identity key attests, in report order
-SUB_KEY_TYPES = (KeyType.CHAT_X25519, KeyType.SHARING_RSA)
+SUB_KEY_TYPES = tuple(key_type for key_type in KeyType if key_type.signature_attribute)
 
 
 @dataclass(frozen=True)
@@ -201,12 +214,6 @@ def _draw_entropy(rng: EntropySource | None, n: int) -> bytes:
     return data
 
 
-def derive_ed25519_public(private: bytes) -> bytes:
-    """Recompute the Ed25519 public key from a 32-octet seed."""
-    _require_octets("identity private seed", private, EC_KEY_OCTETS)
-    return Ed25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
-
-
 def clamp_x25519_scalar(raw: bytes) -> bytes:
     """Clear the low 3 bits, clear bit 255, set bit 254."""
     _require_octets("chat private scalar", raw, EC_KEY_OCTETS)
@@ -217,15 +224,8 @@ def clamp_x25519_scalar(raw: bytes) -> bytes:
     return bytes(scalar)
 
 
-def derive_x25519_public(private: bytes) -> bytes:
-    """Recompute the X25519 public key from a 32-octet scalar."""
-    _require_octets("chat private scalar", private, EC_KEY_OCTETS)
-    return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
-
-
 def generate_identity_keypair(rng: EntropySource | None = None) -> IdentityKeyPair:
-    seed = _draw_entropy(rng, EC_KEY_OCTETS)
-    return IdentityKeyPair(seed)
+    return IdentityKeyPair(_draw_entropy(rng, EC_KEY_OCTETS))
 
 
 def generate_chat_keypair(rng: EntropySource | None = None) -> ChatKeyPair:
@@ -404,7 +404,7 @@ def canonical_payload(key_type: KeyType, public_octets: bytes) -> bytes:
     """
     if not isinstance(key_type, KeyType):
         raise ParameterError("key_type must be a KeyType")
-    if key_type is KeyType.IDENTITY_ED25519:
+    if key_type not in SUB_KEY_TYPES:
         raise ParameterError("the identity key is never signed")
     if not isinstance(public_octets, bytes) or len(public_octets) == 0:
         raise MalformedKeyError("public octets must be a non-empty octet string")
@@ -453,7 +453,7 @@ def check_keypair_consistency(
     are prime, so each must pass trial division and a strong-probable-prime
     test to base 2. Inconsistency is reported, never raised.
     """
-    if isinstance(pair, (IdentityKeyPair, ChatKeyPair)):
+    if isinstance(pair, _ECKeyPair):
         return True
     if not isinstance(pair, SharingKeyPair):
         raise ParameterError(f"not a keypair type: {type(pair).__name__}")

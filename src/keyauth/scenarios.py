@@ -94,10 +94,10 @@ class ScenarioReport:
             self.checks_ok = False
 
 
-def _classify(action: Callable[[], object]) -> tuple[str, object]:
-    """Run a load and name the alarm it raises, if any."""
+def _classify(load: Callable[..., object], *args) -> tuple[str, object]:
+    """Run ``load(*args)`` and name the alarm it raises, if any."""
     try:
-        value = action()
+        value = load(*args)
     except _ALARMS as exc:
         return exc.code, exc
     return OUTCOME_NO_ALARM, value
@@ -153,13 +153,8 @@ def run_scenario(
     identity = key_type is KeyType.IDENTITY_ED25519
     ring = verifier.ring(key_type)
 
-    def load():
-        if identity:
-            return verifier.load_identity_key(handle)
-        return verifier.load_signed_key(handle, key_type)
-
     if scenario.honest_first_load:
-        first, loaded = _classify(load)
+        first, loaded = _classify(verifier.load, handle, key_type)
         if identity:
             report.check(first == OUTCOME_NO_ALARM, "honest first contact pinned the key")
         else:
@@ -181,7 +176,7 @@ def run_scenario(
         forged = generate_chat_keypair().public
     store.set_adversary({(handle, attribute): forged})
     store.fetches.clear()
-    report.observed, value = _classify(load)
+    report.observed, value = _classify(verifier.load, handle, key_type)
     record = ring.get(handle)
 
     if strip:

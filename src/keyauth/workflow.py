@@ -118,6 +118,12 @@ class Session:
 
     # -- loading contacts ------------------------------------------------
 
+    def load(self, handle: str, key_type: KeyType) -> LoadedKey:
+        """Load a contact's key of ``key_type`` by the loader for its type."""
+        if key_type is KeyType.IDENTITY_ED25519:
+            return self.load_identity_key(handle)
+        return self.load_signed_key(handle, key_type)
+
     def load_identity_key(self, handle: str) -> LoadedKey:
         """Fetch a contact's identity key and hold it against the pin.
 

@@ -35,10 +35,13 @@ HEX = "0123456789abcdef"
 @pytest.fixture
 def env(tmp_path, rsa_pair):
     """A store in its own directory and a home per user, each home holding
-    the user's private keys and nothing else."""
+    the user's private keys and nothing else. Every child started through it
+    is ended, and its pipes closed, when the test ends, so a test that fails
+    while a child runs leaves no process and no open pipe behind."""
 
     class Env:
         store = tmp_path / "shared" / "store.json"
+        children: list[subprocess.Popen] = []
 
         @staticmethod
         def home(user):
@@ -61,19 +64,32 @@ def env(tmp_path, rsa_pair):
             return main(self.argv(user, *command, **paths))
 
         def child(self, user, *command):
-            return subprocess.Popen(
-                [sys.executable, "-m", "keyauth.cli", *self.argv(user, *command)],
+            return self.spawn(["-m", "keyauth.cli", *self.argv(user, *command)])
+
+        def spawn(self, args, **options):
+            """A child Python running ``args``, with its output piped."""
+            child = subprocess.Popen(
+                [sys.executable, *args],
                 env=CHILD_ENV,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
+                **options,
             )
+            self.children.append(child)
+            return child
 
         def users(self):
             return set(json.loads(self.store.read_text())["users"])
 
     Env.store.parent.mkdir()
-    return Env()
+    yield Env()
+    for child in Env.children:
+        if child.poll() is None:
+            child.kill()
+        child.wait()
+        child.stdout.close()
+        child.stderr.close()
 
 
 @pytest.fixture(autouse=True)
@@ -149,16 +165,7 @@ class TestLock:
         children = []
         for contact in ("bob", "carol"):
             argv = env.argv("alice", "fetch", contact, "chat")
-            children.append(
-                subprocess.Popen(
-                    [sys.executable, "-c", script, *argv],
-                    env=CHILD_ENV,
-                    stdin=gate,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
-            )
+            children.append(env.spawn(["-c", script, *argv], stdin=gate))
         os.close(gate)
         time.sleep(0.5)  # both children reach the gate
         os.close(release)

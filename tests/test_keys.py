@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import random
 import secrets
 import threading
 import time
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, fields
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,43 @@ class TestChatKeys:
     def test_consistency_check(self):
         pair = generate_chat_keypair()
         assert check_keypair_consistency(pair)
+
+
+class TestECPairClasses:
+    """What callers rely on in the two EC pair classes: the ``.sk`` layout
+    reads their init fields, rings and reports compare and hash them, and
+    worker processes pickle them."""
+
+    OCTETS = bytes(range(32))
+
+    @pytest.mark.parametrize("cls", [IdentityKeyPair, ChatKeyPair])
+    def test_fields(self, cls):
+        assert [(f.name, f.init) for f in fields(cls)] == [
+            ("private", True),
+            ("public", False),
+        ]
+
+    @pytest.mark.parametrize(
+        "cls, derive",
+        [(IdentityKeyPair, derive_ed25519_public), (ChatKeyPair, derive_x25519_public)],
+    )
+    def test_value_semantics(self, cls, derive):
+        pair = cls(self.OCTETS)
+        assert pair.public == derive(self.OCTETS)
+        assert pair == cls(bytes(self.OCTETS)) and pair != cls(bytes(32))
+        assert hash(pair) == hash(cls(bytes(self.OCTETS)))
+        assert repr(pair) == (
+            f"{cls.__name__}(private={self.OCTETS!r}, public={pair.public!r})"
+        )
+        copy = pickle.loads(pickle.dumps(pair))
+        assert type(copy) is cls and copy == pair
+        with pytest.raises(FrozenInstanceError):
+            pair.private = bytes(32)
+        with pytest.raises(FrozenInstanceError):
+            pair.public = bytes(32)
+
+    def test_identity_and_chat_pairs_of_one_octet_string_differ(self):
+        assert IdentityKeyPair(self.OCTETS) != ChatKeyPair(self.OCTETS)
 
 
 class TestSharingKeys:

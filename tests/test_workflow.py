@@ -550,12 +550,6 @@ class LookupSpy(dict):
         return super().__getitem__(row)
 
 
-def load(session, key_type):
-    if key_type is IDENTITY:
-        return session.load_identity_key("bob")
-    return session.load_signed_key("bob", key_type)
-
-
 # Each case: the row its last lookup takes (None: it takes none), what alice
 # does ("sub" loads each sub-key type in turn), how she pinned the key before,
 # what the store's adversary serves then, the method before and after, the
@@ -621,7 +615,7 @@ class TestPolicyWalk:
         strip = {("bob", key_type.signature_attribute): None}
         store.set_adversary(strip if pinned_by == "strip" else {})
         if pinned_by is not None:
-            load(alice, key_type)
+            alice.load("bob", key_type)
 
         if key_type is KeyType.SHARING_RSA:
             forged = rsa_pair_alt.public
@@ -660,7 +654,7 @@ class TestPolicyWalk:
             elif does == "compare wrong":
                 alice.verify_contact_fingerprint("bob", "0" * 40)
             else:
-                loaded = load(alice, key_type)
+                loaded = alice.load("bob", key_type)
                 assert loaded.method is after
                 assert loaded.public_octets == served_key
         except KeyAuthError as exc:
@@ -672,9 +666,7 @@ class TestPolicyWalk:
                 assert exc.observed == observed
         else:
             assert code is None
-            record = ring.get("bob")
-            assert record.method is after
-            assert record.fingerprint == observed
+            assert ring.get("bob") == AuthRecord(observed, after, trust=0)
         assert store.fetches.total() == fetches
         assert taken.rows[-1:] == ([] if row is None else [row])
         if does == "sub":
@@ -711,6 +703,26 @@ class TestSession:
     def test_store_must_be_an_attribute_store(self):
         with pytest.raises(ParameterError):
             Session(object())
+
+    @pytest.mark.parametrize("key_type", list(KeyType), ids=lambda kt: kt.alias)
+    def test_load_takes_the_loader_for_the_key_type(self, world, key_type):
+        """On two fresh sessions over one store, ``load`` and the key type's
+        own loader give the same key, the same rings and the same fetches."""
+        store, _, _ = world
+        outcomes = []
+        for route in ("load", "loader"):
+            session = Session(store)
+            store.fetches.clear()
+            if route == "load":
+                loaded = session.load("bob", key_type)
+            elif key_type is IDENTITY:
+                loaded = session.load_identity_key("bob")
+            else:
+                loaded = session.load_signed_key("bob", key_type)
+            rings = {kt: ring.get("bob") for kt, ring in session.rings.items()}
+            outcomes.append((loaded, rings, dict(store.fetches)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1][key_type] is not None
 
 
 class TestInitOwnKeys:
