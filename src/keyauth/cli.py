@@ -69,6 +69,16 @@ def group_fingerprint_hex(hex40: str) -> str:
     return " ".join(hex40[i : i + 5] for i in range(0, len(hex40), 5))
 
 
+def display_handle(handle: str) -> str:
+    """A handle as printed in either mode: a backslash, and each character
+    that is not printable (tab and newline among them), becomes its ``repr``
+    escape, so no handle can split or forge an output line."""
+    return "".join(
+        char if char.isprintable() and char != "\\" else repr(char)[1:-1]
+        for char in handle
+    )
+
+
 # -- identity directory -------------------------------------------------------
 #
 # <identity_dir>/<key type label>.sk    private key, one base64 line per init
@@ -292,12 +302,12 @@ def cmd_verify(args) -> int:
     asserted = " ".join(args.fingerprint)
     with _contact_session(args) as session:
         record = session.verify_contact_fingerprint(args.handle, asserted)
-    hex40 = record.fingerprint.hex()
+    hex40, handle = record.fingerprint.hex(), display_handle(args.handle)
     if args.machine:
-        print(f"verified\t{args.handle}\t{hex40}")
+        print(f"verified\t{handle}\t{hex40}")
     else:
         grouped = group_fingerprint_hex(hex40)
-        print(f"fingerprint comparison recorded for {args.handle}: {grouped}")
+        print(f"fingerprint comparison recorded for {handle}: {grouped}")
     return EXIT_OK
 
 
@@ -328,7 +338,7 @@ def cmd_ring(args) -> int:
         for handle, record in ring.records():
             columns = (
                 ring.key_type.label,
-                handle,
+                display_handle(handle),
                 record.fingerprint.hex(),
                 record.method.label,
                 str(record.trust),

@@ -8,20 +8,27 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyauth import (
     AttributeStore,
+    AuthMethod,
     AuthRing,
+    Fingerprint,
     KeyType,
     OwnKeyMaterial,
     fingerprint_ec,
@@ -1214,6 +1221,78 @@ class TestRing:
         assert code == EXIT_ERROR
         assert "error[ring-checksum-mismatch]" in err
         assert "checksum" in err
+
+
+# handles a ring admits (1 to 12 characters of UTF-8 are at most 48 octets),
+# rich in characters that could split or forge a line
+_HANDLES = st.text(
+    st.one_of(
+        st.characters(codec="utf-8"),
+        st.sampled_from("\\\t\n\r\x0b\x0c\x1c\x85\u2028\u2029\u200b\u202e\x00 "),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def unescape(shown: str) -> str:
+    """The handle that ``ring`` or ``verify`` printed as ``shown``: every
+    escape in it is one that ``repr`` writes, which unicode_escape reads."""
+    return shown.encode("latin-1", "backslashreplace").decode("unicode_escape")
+
+
+class TestHandleDisplay:
+    """``ring`` and ``verify`` print a backslash and every character that is
+    not printable as its escape, so no handle can split or forge a line."""
+
+    def test_newline_handle_prints_one_line_per_record(self, env, capsys):
+        for user in ("alice", "bob", "eve\nbob"):
+            init_user(env, capsys, user)
+        for handle in ("bob", "eve\nbob"):
+            code, _, err = env.run(
+                *env.user_args("alice"), "fetch", handle, "identity", capsys=capsys
+            )
+            assert code == EXIT_OK, err
+        home = env.home("alice")
+        _, machine, _ = env.run(
+            "--home", home, "--machine", "ring", "identity", capsys=capsys
+        )
+        _, human, _ = env.run("--home", home, "ring", "identity", capsys=capsys)
+        rows = [line.split("\t") for line in machine.splitlines()]
+        assert [row[1] for row in rows] == ["bob", "eve\\nbob"]
+        assert all(len(row) == 5 for row in rows)
+        assert human.splitlines() == [" ".join(row) for row in rows]
+
+        _, fp, _ = env.run(
+            *env.user_args("eve\nbob"), "--machine", "credentials", capsys=capsys
+        )
+        for mode in (["--machine"], []):
+            code, out, _ = env.run(
+                *env.user_args("alice"), *mode, "verify", "eve\nbob", fp.strip(),
+                capsys=capsys,
+            )
+            assert code == EXIT_OK
+            assert len(out.splitlines()) == 1 and "eve\\nbob" in out
+        assert out.startswith("fingerprint comparison recorded for eve\\nbob: ")
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(_HANDLES, min_size=1, max_size=5, unique=True))
+    def test_ring_prints_one_line_per_record(self, handles):
+        ring = AuthRing(KeyType.IDENTITY_ED25519)
+        for n, handle in enumerate(handles):
+            ring.track(handle, Fingerprint(bytes([n]) * 20), AuthMethod.SEEN)
+        outputs = []
+        with tempfile.TemporaryDirectory() as home:
+            Path(home, f"{ring.key_type.label}.ring").write_bytes(ring.to_bytes())
+            for mode in (["--machine"], []):
+                with redirect_stdout(io.StringIO()) as out:
+                    assert main(["--home", home, *mode, "ring", "identity"]) == EXIT_OK
+                outputs.append(out.getvalue().splitlines())
+        machine, human = outputs
+        rows = [line.split("\t") for line in machine]
+        assert all(len(row) == 5 for row in rows)
+        assert [unescape(row[1]) for row in rows] == [h for h, _ in ring.records()]
+        assert human == [" ".join(row) for row in rows]
 
 
 class TestSimulate:

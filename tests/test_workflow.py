@@ -1,8 +1,10 @@
 """Loading flows, manual verification, and own-key initialisation.
 
-The expected alarm/no-alarm outcome for every tampering case is asserted
-together with the exact number of store round trips, since fetch-minimality
-is part of the contract.
+``TestPolicyWalk`` is where each ``POLICY`` case is checked: it drives the
+case through a real Session and asserts its alarm, its ring transition and
+its exact number of store round trips, since fetch-minimality is part of the
+contract. The other loading tests check what no single row decides: missing
+keys, malformed input, and stories that take more than one load.
 """
 
 from __future__ import annotations
@@ -19,16 +21,13 @@ from keyauth import (
     AuthRecord,
     AuthRing,
     CompareResult,
-    ComparisonFailedError,
     FingerprintMismatchError,
     Fingerprint,
-    IdentityKeyPair,
     KeyAuthError,
     KeyChangedWarningError,
     KeyType,
     MalformedKeyError,
     MissingKeyError,
-    MissingRecordError,
     OwnKeyMaterial,
     ParameterError,
     RepairAction,
@@ -63,86 +62,13 @@ def substitute(store, handle, attribute, replacement):
 
 
 class TestLoadIdentityKey:
-    def test_first_sight_pins(self, world):
-        store, bob, alice = world
-        ring = alice.ring(KeyType.IDENTITY_ED25519)
-        assert ring.get("bob") is None
-        loaded = alice.load_identity_key("bob")
-        assert loaded.public_octets == bob.identity.public
-        assert loaded.method is AuthMethod.SEEN
-        assert ring.get("bob") == AuthRecord(
-            fingerprint_ec(bob.identity.public), AuthMethod.SEEN
-        )
-        assert store.fetches.total() == 1
-
-    def test_reload_matches_in_one_fetch(self, world):
-        store, bob, alice = world
-        alice.load_identity_key("bob")
-        before = alice.ring(KeyType.IDENTITY_ED25519).get("bob")
-        store.fetches.clear()
-        loaded = alice.load_identity_key("bob")
-        assert alice.ring(KeyType.IDENTITY_ED25519).get("bob") == before
-        assert loaded.method is AuthMethod.SEEN
-        assert store.fetches.total() == 1
-
-    def test_substitution_after_contact_alarms(self, world):
-        store, bob, alice = world
-        alice.load_identity_key("bob")
-        honest = fingerprint_ec(bob.identity.public)
-        attacker = generate_identity_keypair().public
-        substitute(store, "bob", "ed25519_pub", attacker)
-        with pytest.raises(FingerprintMismatchError) as exc_info:
-            alice.load_identity_key("bob")
-        assert exc_info.value.tracked == honest
-        assert exc_info.value.observed == fingerprint_ec(attacker)
-        # the pin is untouched
-        record = alice.ring(KeyType.IDENTITY_ED25519).get("bob")
-        assert record.fingerprint == honest
-
     def test_missing_key(self, world):
         _, _, alice = world
         with pytest.raises(MissingKeyError):
             alice.load_identity_key("nobody")
 
-    def test_method_strength_is_preserved(self, world):
-        store, bob, alice = world
-        alice.load_identity_key("bob")
-        alice.verify_contact_fingerprint(
-            "bob", fingerprint_ec(bob.identity.public).hex()
-        )
-        loaded = alice.load_identity_key("bob")
-        assert loaded.method is AuthMethod.FINGERPRINT_COMPARISON
-
 
 class TestLoadSignedKey:
-    @pytest.mark.parametrize("key_type", [KeyType.CHAT_X25519, KeyType.SHARING_RSA])
-    def test_first_load_verifies_in_three_fetches(self, world, key_type):
-        store, bob, alice = world
-        ring = alice.ring(key_type)
-        assert ring.get("bob") is None
-        loaded = alice.load_signed_key("bob", key_type)
-        assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
-        assert ring.get("bob") == AuthRecord(
-            fingerprint_for(key_type, loaded.public_octets),
-            AuthMethod.SIGNATURE_VERIFIED,
-        )
-        assert store.fetches.total() == 3  # key, signature, identity
-        # identity got pinned along the way
-        assert (
-            alice.ring(KeyType.IDENTITY_ED25519).get("bob").method is AuthMethod.SEEN
-        )
-
-    @pytest.mark.parametrize("key_type", [KeyType.CHAT_X25519, KeyType.SHARING_RSA])
-    def test_verified_reload_is_one_fetch(self, world, key_type):
-        store, bob, alice = world
-        alice.load_signed_key("bob", key_type)
-        before = alice.ring(key_type).get("bob")
-        store.fetches.clear()
-        loaded = alice.load_signed_key("bob", key_type)
-        assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
-        assert alice.ring(key_type).get("bob") == before
-        assert store.fetches.total() == 1
-
     def test_identity_type_rejected(self, world):
         _, _, alice = world
         with pytest.raises(ParameterError):
@@ -152,42 +78,6 @@ class TestLoadSignedKey:
         _, _, alice = world
         with pytest.raises(MissingKeyError):
             alice.load_signed_key("nobody", KeyType.CHAT_X25519)
-
-    def test_substituted_key_fails_signature(self, world):
-        store, bob, alice = world
-        attacker = generate_chat_keypair().public
-        substitute(store, "bob", "x25519_pub", attacker)
-        with pytest.raises(SignatureInvalidError):
-            alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        assert alice.ring(KeyType.CHAT_X25519).get("bob") is None
-
-    def test_substituted_rsa_key_fails_signature(self, world, rsa_pair_alt):
-        store, bob, alice = world
-        substitute(store, "bob", "rsa_pub", rsa_pair_alt.public)
-        with pytest.raises(SignatureInvalidError):
-            alice.load_signed_key("bob", KeyType.SHARING_RSA)
-
-    def test_tracked_key_resists_substitution(self, world):
-        store, bob, alice = world
-        alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        honest = alice.ring(KeyType.CHAT_X25519).get("bob")
-        substitute(store, "bob", "x25519_pub", generate_chat_keypair().public)
-        with pytest.raises(SignatureInvalidError):
-            alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        assert alice.ring(KeyType.CHAT_X25519).get("bob") == honest
-
-    def test_damaged_signature_on_a_verified_key_is_never_fetched(self, world):
-        """An unchanged verified key reloads in one fetch, so its signature
-        is not read again: a damaged one on it is harmless."""
-        store, bob, alice = world
-        alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        before = alice.ring(KeyType.CHAT_X25519).get("bob")
-        substitute(store, "bob", "sig_x25519", secrets.token_bytes(64))
-        store.fetches.clear()
-        loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
-        assert store.fetches.total() == 1
-        assert alice.ring(KeyType.CHAT_X25519).get("bob") == before
 
     @pytest.mark.parametrize("key_type", [KeyType.CHAT_X25519, KeyType.SHARING_RSA])
     def test_substitution_with_stripped_signature_at_first_contact(
@@ -218,12 +108,6 @@ class TestLoadSignedKey:
         with pytest.raises(KeyChangedWarningError):
             alice.load_signed_key("bob", key_type)
 
-    def test_corrupted_signature_alarm_even_when_key_matches(self, world):
-        store, bob, alice = world
-        substitute(store, "bob", "sig_x25519", secrets.token_bytes(64))
-        with pytest.raises(SignatureInvalidError):
-            alice.load_signed_key("bob", KeyType.CHAT_X25519)
-
     def test_signature_of_the_wrong_length_is_not_absent(self, rsa_pair):
         # the store refuses such a value, so only a store that serves one
         # can show it: a 63-octet signature must raise, not pin as unsigned
@@ -240,71 +124,6 @@ class TestLoadSignedKey:
         with pytest.raises(MalformedKeyError):
             alice.load_signed_key("bob", KeyType.CHAT_X25519)
         assert alice.ring(KeyType.CHAT_X25519).get("bob") is None
-
-
-class TestUnsignedFallback:
-    """Contacts whose clients never published signatures still work, at
-    pin-on-first-sight strength, and can upgrade later."""
-
-    @pytest.fixture
-    def unsigned_world(self, rsa_pair):
-        store = AttributeStore()
-        identity = generate_identity_keypair()
-        chat = generate_chat_keypair()
-        store.publish("bob", "ed25519_pub", identity.public)
-        store.publish("bob", "x25519_pub", chat.public)
-        store.publish("bob", "rsa_pub", rsa_pair.public)
-        alice = Session(store)
-        store.fetches.clear()
-        return store, identity, chat, alice
-
-    def test_pins_as_seen_in_two_fetches(self, unsigned_world):
-        store, identity, chat, alice = unsigned_world
-        ring = alice.ring(KeyType.CHAT_X25519)
-        assert ring.get("bob") is None
-        loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        assert loaded.method is AuthMethod.SEEN
-        assert ring.get("bob") == AuthRecord(
-            fingerprint_ec(chat.public), AuthMethod.SEEN
-        )
-        assert store.fetches.total() == 2  # key + absent signature; no identity
-
-    def test_seen_match_reload(self, unsigned_world):
-        store, identity, chat, alice = unsigned_world
-        alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        before = alice.ring(KeyType.CHAT_X25519).get("bob")
-        store.fetches.clear()
-        loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        assert loaded.method is AuthMethod.SEEN
-        assert alice.ring(KeyType.CHAT_X25519).get("bob") == before
-        assert store.fetches.total() == 2  # signature is re-checked for upgrades
-
-    def test_upgrade_when_signature_appears(self, unsigned_world):
-        store, identity, chat, alice = unsigned_world
-        alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        pinned = alice.ring(KeyType.CHAT_X25519).get("bob").fingerprint
-        owner = IdentityKeyPair(private=identity.private)
-        store.publish(
-            "bob",
-            "sig_x25519",
-            sign_public_key(owner, KeyType.CHAT_X25519, chat.public).sig,
-        )
-        loaded = alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        assert loaded.method is AuthMethod.SIGNATURE_VERIFIED
-        record = alice.ring(KeyType.CHAT_X25519).get("bob")
-        assert record.method is AuthMethod.SIGNATURE_VERIFIED
-        assert record.fingerprint == pinned
-
-    def test_mismatch_without_signature_alarms(self, unsigned_world):
-        store, identity, chat, alice = unsigned_world
-        alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        substitute(store, "bob", "x25519_pub", generate_chat_keypair().public)
-        with pytest.raises(FingerprintMismatchError):
-            alice.load_signed_key("bob", KeyType.CHAT_X25519)
-        assert (
-            alice.ring(KeyType.CHAT_X25519).get("bob").fingerprint
-            == fingerprint_ec(chat.public)
-        )
 
 
 class TestKeyChange:
@@ -377,13 +196,6 @@ class TestKeyChange:
 
 
 class TestVerifyContactFingerprint:
-    def test_match_upgrades_to_strongest(self, world):
-        store, bob, alice = world
-        alice.load_identity_key("bob")
-        fp_hex = fingerprint_ec(bob.identity.public).hex()
-        record = alice.verify_contact_fingerprint("bob", fp_hex)
-        assert record.method is AuthMethod.FINGERPRINT_COMPARISON
-
     def test_display_form_accepted(self, world):
         store, bob, alice = world
         alice.load_identity_key("bob")
@@ -393,19 +205,6 @@ class TestVerifyContactFingerprint:
         ).upper()
         record = alice.verify_contact_fingerprint("bob", grouped_upper)
         assert record.method is AuthMethod.FINGERPRINT_COMPARISON
-
-    def test_mismatch_raises_and_preserves(self, world):
-        store, bob, alice = world
-        alice.load_identity_key("bob")
-        before = alice.ring(KeyType.IDENTITY_ED25519).get("bob")
-        with pytest.raises(ComparisonFailedError):
-            alice.verify_contact_fingerprint("bob", "0" * 40)
-        assert alice.ring(KeyType.IDENTITY_ED25519).get("bob") == before
-
-    def test_untracked_contact(self, world):
-        _, _, alice = world
-        with pytest.raises(MissingRecordError):
-            alice.verify_contact_fingerprint("bob", "0" * 40)
 
     def test_malformed_hex_rejected(self, world):
         store, bob, alice = world
@@ -424,14 +223,6 @@ class TestVerifyContactFingerprint:
                 alice.verify_contact_fingerprint("bob", bad)
         with pytest.raises(ParameterError):
             alice.verify_contact_fingerprint("bob", 123)
-
-    def test_idempotent_at_top_strength(self, world):
-        store, bob, alice = world
-        alice.load_identity_key("bob")
-        fp_hex = fingerprint_ec(bob.identity.public).hex()
-        alice.verify_contact_fingerprint("bob", fp_hex)
-        record = alice.verify_contact_fingerprint("bob", fp_hex)
-        assert record.method is AuthMethod.FINGERPRINT_COMPARISON
 
 
 ABSENT = CompareResult.ABSENT
@@ -551,14 +342,18 @@ class LookupSpy(dict):
 
 
 # Each case: the row its last lookup takes (None: it takes none), what alice
-# does ("sub" loads each sub-key type in turn), how she pinned the key before,
-# what the store's adversary serves then, the method before and after, the
-# alarm's code and the store round trips.
+# does ("sub" loads each sub-key type in turn), how she pinned the key before
+# ("strip": a load with the signature stripped; "compare": a load, then a
+# comparison of the honest fingerprint), what the store's adversary serves
+# then, the method before and after, the alarm's code and the round trips.
 WALK = [
     (("unsigned", ABSENT), "identity", None, (), None, SEEN, None, 1),
     (("unsigned", MATCH), "identity", "load", (), SEEN, SEEN, None, 1),
+    (("unsigned", MATCH), "identity", "compare", (), COMPARED, COMPARED, None, 1),
     (("unsigned", MISMATCH), "identity", "load", ("forge",), SEEN, SEEN,
      "fingerprint-mismatch", 1),
+    (("unsigned", MISMATCH), "identity", "compare", ("forge",), COMPARED,
+     COMPARED, "fingerprint-mismatch", 1),
     (("unsigned", ABSENT), "sub", None, ("strip",), None, SEEN, None, 2),
     # the second blind spot: a forged sub-key served without its signature
     (("unsigned", ABSENT), "sub", None, ("forge", "strip"), None, SEEN, None, 2),
@@ -571,6 +366,8 @@ WALK = [
      "key-changed-warning", 3),
     (("bad signature", ABSENT), "sub", None, ("forge",), None, None,
      "signature-invalid", 3),
+    (("bad signature", ABSENT), "sub", None, ("damage",), None, None,
+     "signature-invalid", 3),
     (("bad signature", MATCH), "sub", "strip", ("damage",), SEEN, SEEN,
      "signature-invalid", 3),
     (("bad signature", MISMATCH), "sub", "load", ("forge",), VERIFIED, VERIFIED,
@@ -579,6 +376,7 @@ WALK = [
     (None, "sub", "load", (), VERIFIED, VERIFIED, None, 1),
     (None, "sub", "load", ("damage",), VERIFIED, VERIFIED, None, 1),
     (("compared", MATCH), "compare", "load", (), SEEN, COMPARED, None, 0),
+    (("compared", MATCH), "compare", "compare", (), COMPARED, COMPARED, None, 0),
     (("compared", MISMATCH), "compare wrong", "load", (), SEEN, SEEN,
      "comparison-failed", 0),
     (None, "compare", None, (), None, None, "missing-record", 0),
@@ -601,7 +399,13 @@ class TestPolicyWalk:
     transition, the alarm and the store round trips."""
 
     def test_every_row_is_walked(self):
-        assert {row for row, *_ in WALK} - {None} == set(POLICY)
+        """Each row is walked for every key type its evidence can meet."""
+        walked = {(case.values[0], case.values[4]) for case in _walk_cases()}
+        assert {(row, key_type) for row, key_type in walked if row} == {
+            (row, key_type)
+            for row in POLICY
+            for key_type in EVIDENCE_KEY_TYPES[row[0]]
+        }
 
     @pytest.mark.parametrize(
         "row, does, pinned_by, served, key_type, before, after, code, fetches",
@@ -612,10 +416,13 @@ class TestPolicyWalk:
         row, does, pinned_by, served, key_type, before, after, code, fetches,
     ):
         store, bob, alice = world
+        honest = fingerprint_ec(bob.identity.public)
         strip = {("bob", key_type.signature_attribute): None}
         store.set_adversary(strip if pinned_by == "strip" else {})
         if pinned_by is not None:
             alice.load("bob", key_type)
+        if pinned_by == "compare":
+            alice.verify_contact_fingerprint("bob", honest.hex())
 
         if key_type is KeyType.SHARING_RSA:
             forged = rsa_pair_alt.public
@@ -649,8 +456,8 @@ class TestPolicyWalk:
         store.fetches.clear()
         try:
             if does == "compare":
-                honest = fingerprint_ec(bob.identity.public)
-                alice.verify_contact_fingerprint("bob", honest.hex())
+                record = alice.verify_contact_fingerprint("bob", honest.hex())
+                assert record.method is after
             elif does == "compare wrong":
                 alice.verify_contact_fingerprint("bob", "0" * 40)
             else:
@@ -674,7 +481,7 @@ class TestPolicyWalk:
             # the first such load pins the served one at seen
             identity = None
             if pinned_by == "load" or row[0] != "unsigned":
-                identity = AuthRecord(fingerprint_ec(bob.identity.public), SEEN)
+                identity = AuthRecord(honest, SEEN)
             assert alice.ring(IDENTITY).get("bob") == identity
 
 
