@@ -72,9 +72,11 @@ def group_fingerprint_hex(hex40: str) -> str:
 def display_handle(handle: str) -> str:
     """A handle as printed in either mode: a backslash, and each character
     that is not printable (tab and newline among them), becomes its ``repr``
-    escape, so no handle can split or forge an output line."""
+    escape, and a space, which ``repr`` leaves as it is, becomes ``\\x20``,
+    so no handle can split or forge an output line or a field of one."""
     return "".join(
-        char if char.isprintable() and char != "\\" else repr(char)[1:-1]
+        char if char.isprintable() and char not in " \\"
+        else repr(char)[1:-1].replace(" ", "\\x20")
         for char in handle
     )
 

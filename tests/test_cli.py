@@ -1,7 +1,10 @@
 """The command-line interface: exit codes, output shapes, file handling.
 
 Commands run in-process through ``main`` so exit codes and streams can be
-asserted directly.
+asserted directly. ``TestContactOutcomes`` is the one place the outcome of a
+contact command (``fetch``, ``verify``, ``credentials``) is asserted: its exit
+code, its exact output and the records it leaves. The other classes check
+what no single command's outcome shows: files, locks, corrupt input, display.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from keyauth import (
     generate_identity_keypair,
     sign_public_key,
 )
+from keyauth import cli
 from keyauth import store as store_module
 from keyauth.cli import (
     EXIT_ERROR,
@@ -45,13 +49,13 @@ from keyauth.cli import (
     EXIT_OK,
     EXIT_SIGNATURE_INVALID,
     EXIT_USAGE,
-    group_fingerprint_hex,
     load_own_material,
     main,
     save_own_material,
 )
 
 from conftest import make_entropy, run_under_file_limit
+from oracles import fingerprint_oracle
 
 
 @pytest.fixture
@@ -98,18 +102,6 @@ class TestInit:
             "publish sig_x25519",
             "publish sig_rsa",
         ]
-
-    def test_rerun_reports_nothing(self, env, capsys):
-        init_user(env, capsys, "alice")
-        code, out, _ = env.run(*env.user_args("alice"), "init", capsys=capsys)
-        assert code == EXIT_OK
-        assert out.strip() == "nothing to repair"
-
-    def test_private_files_are_0600(self, env, capsys):
-        init_user(env, capsys, "alice")
-        for name in ("identity-ed25519.sk", "chat-x25519.sk", "sharing-rsa.sk"):
-            mode = stat.S_IMODE(os.stat(env.home("alice") / name).st_mode)
-            assert mode == 0o600, name
 
     def test_rerun_rewrites_no_private_key(self, env, capsys):
         init_user(env, capsys, "alice")
@@ -222,13 +214,6 @@ class TestInit:
         assert code == EXIT_ERROR
         assert err.startswith("error[init]: ") and str(key) in err
         assert reason in err
-
-    def test_corrupt_private_file(self, env, capsys):
-        init_user(env, capsys, "alice")
-        (env.home("alice") / "identity-ed25519.sk").write_text("???not base64\n")
-        code, _, err = env.run(*env.user_args("alice"), "init", capsys=capsys)
-        assert code == EXIT_ERROR
-        assert "error[init]" in err
 
     def test_store_is_saved_once_after_the_keys(self, env, capsys, monkeypatch):
         key_names = ["chat-x25519.sk", "identity-ed25519.sk", "sharing-rsa.sk"]
@@ -551,103 +536,7 @@ class TestWritePolicy:
         assert not ring.exists()
 
 
-class TestCredentials:
-    def test_own_fingerprint_grouped(self, env, capsys):
-        init_user(env, capsys, "alice")
-        code, out, _ = env.run(*env.user_args("alice"), "credentials", capsys=capsys)
-        assert code == EXIT_OK
-        groups = out.strip().split(" ")
-        assert len(groups) == 8
-        assert all(len(g) == 5 for g in groups)
-
-    def test_machine_mode_is_plain_hex(self, env, capsys):
-        init_user(env, capsys, "alice")
-        code, out, _ = env.run(
-            *env.user_args("alice"), "--machine", "credentials", capsys=capsys
-        )
-        assert code == EXIT_OK
-        assert len(out.strip()) == 40
-        int(out.strip(), 16)
-
-    def test_uninitialised_user(self, env, capsys):
-        code, _, err = env.run(*env.user_args("nobody"), "credentials", capsys=capsys)
-        assert code == EXIT_MISSING_KEY
-        assert "error[missing-key]" in err
-
-    def test_contact_fingerprint_tracks_seen(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        code, out, _ = env.run(
-            *env.user_args("alice"), "credentials", "bob", capsys=capsys
-        )
-        assert code == EXIT_OK
-        code, ring_out, _ = env.run(
-            "--home", env.home("alice"), "--machine", "ring", "identity", capsys=capsys
-        )
-        assert code == EXIT_OK
-        row = ring_out.strip().split("\t")
-        assert row[0] == "identity-ed25519"
-        assert row[1] == "bob"
-        assert row[2] == out.strip().replace(" ", "")
-        assert row[3] == "seen"
-
-    def test_contact_and_own_agree(self, env, capsys):
-        init_user(env, capsys, "bob")
-        init_user(env, capsys, "alice")
-        _, own, _ = env.run(
-            *env.user_args("bob"), "--machine", "credentials", capsys=capsys
-        )
-        _, seen, _ = env.run(
-            *env.user_args("alice"), "--machine", "credentials", "bob", capsys=capsys
-        )
-        assert own == seen
-
-
 class TestVerify:
-    def test_match_records_comparison(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        _, bob_fp, _ = env.run(
-            *env.user_args("bob"), "--machine", "credentials", capsys=capsys
-        )
-        env.run(*env.user_args("alice"), "credentials", "bob", capsys=capsys)
-        code, out, _ = env.run(
-            *env.user_args("alice"), "verify", "bob", bob_fp.strip(), capsys=capsys
-        )
-        assert code == EXIT_OK
-        _, ring_out, _ = env.run(
-            "--home", env.home("alice"), "--machine", "ring", "identity", capsys=capsys
-        )
-        assert ring_out.strip().split("\t")[3] == "fingerprint-comparison"
-
-    def test_grouped_uppercase_accepted_as_separate_args(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        _, bob_fp, _ = env.run(
-            *env.user_args("bob"), "--machine", "credentials", capsys=capsys
-        )
-        grouped = group_fingerprint_hex(bob_fp.strip()).upper().split(" ")
-        env.run(*env.user_args("alice"), "credentials", "bob", capsys=capsys)
-        code, _, _ = env.run(
-            *env.user_args("alice"), "verify", "bob", *grouped, capsys=capsys
-        )
-        assert code == EXIT_OK
-
-    def test_machine_mode_row(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        _, bob_fp, _ = env.run(
-            *env.user_args("bob"), "--machine", "credentials", capsys=capsys
-        )
-        env.run(*env.user_args("alice"), "credentials", "bob", capsys=capsys)
-        code, out, _ = env.run(
-            *env.user_args("alice"), "--machine", "verify", "bob", bob_fp.strip(),
-            capsys=capsys,
-        )
-        assert code == EXIT_OK
-        assert out == f"verified\tbob\t{bob_fp.strip()}\n"
-        assert len(bob_fp.strip()) == 40
-
     def test_mismatch_exits_2_with_warning(self, env, capsys):
         init_user(env, capsys, "alice")
         init_user(env, capsys, "bob")
@@ -703,122 +592,353 @@ class TestVerify:
         )
         assert code == EXIT_SIGNATURE_INVALID
 
-    def test_untracked_contact_is_an_error(self, env, capsys):
-        init_user(env, capsys, "alice")
+
+def grouped(hex40: str) -> str:
+    """The display form, eight groups of five, written from the README."""
+    return " ".join(re.findall(".{5}", hex40))
+
+
+def _key_facts(name: str, public: bytes, hashed: bytes | None = None) -> dict:
+    """``name`` is the fingerprint hex of the key published as ``public``,
+    which hashes ``hashed`` when given; ``name_b64`` is ``public`` in base64."""
+    hex40 = fingerprint_oracle(public if hashed is None else hashed).hex()
+    return {
+        name: hex40,
+        f"{name}_grouped": grouped(hex40),
+        f"{name}_b64": base64.b64encode(public).decode("ascii"),
+    }
+
+
+def _publish_for_bob(env, **values):
+    store = AttributeStore(env.store_path)
+    for attribute, value in values.items():
+        store.publish("bob", attribute, value)
+    store.save()
+
+
+def _make_home(env, capsys, facts):
+    env.home("alice").mkdir()
+
+
+def _init(env, capsys, facts):
+    for user in ("alice", "bob"):
+        init_user(env, capsys, user)
+    alice, bob = (load_own_material(env.home(user)) for user in ("alice", "bob"))
+    sharing = bob.sharing
+    facts.update(
+        **_key_facts("alice_id", alice.identity.public),
+        **_key_facts("bob_id", bob.identity.public),
+        **_key_facts("bob_chat", bob.chat.public),
+        **_key_facts(
+            "bob_sharing", sharing.public, sharing.modulus_n + sharing.public_exponent_e
+        ),
+    )
+    facts["bob_id_upper"] = facts["bob_id_grouped"].upper()
+
+
+def _pin(alias):
+    def fetch(env, capsys, facts):
         code, _, err = env.run(
-            *env.user_args("alice"), "verify", "bob", "0" * 40, capsys=capsys
+            *env.user_args("alice"), "fetch", "bob", alias, capsys=capsys
         )
-        assert code == EXIT_ERROR
-        assert "error[missing-record]" in err
+        assert code == EXIT_OK, err
+
+    return fetch
+
+
+def _substitute_identity(env, capsys, facts):
+    forged = generate_identity_keypair().public
+    _publish_for_bob(env, ed25519_pub=forged)
+    facts.update(_key_facts("forged_id", forged))
+
+
+def _forge_chat(env, capsys, facts):
+    forged = generate_chat_keypair().public
+    _publish_for_bob(env, x25519_pub=forged)
+    facts.update(_key_facts("forged_chat", forged))
+
+
+def _rotate_chat(env, capsys, facts):
+    """bob rotates properly: a new chat key with a new valid signature."""
+    identity = load_own_material(env.home("bob")).identity
+    new = generate_chat_keypair().public
+    signature = sign_public_key(identity, KeyType.CHAT_X25519, new).sig
+    _publish_for_bob(env, x25519_pub=new, sig_x25519=signature)
+    facts.update(_key_facts("new_chat", new))
+
+
+# each world is built in steps, in alice's identity dir and a shared store
+_WORLDS = {
+    "nothing": (),  # no identity dir, no store
+    "no store": (_make_home,),
+    "fresh": (_init,),  # alice and bob initialised; alice tracks no one
+    "identity pinned": (_init, _pin("identity")),
+    "chat pinned": (_init, _pin("chat")),
+    "sharing pinned": (_init, _pin("sharing")),
+    "identity substituted": (_init, _pin("identity"), _substitute_identity),
+    "chat forged": (_init, _forge_chat),
+    "chat rotated": (_init, _pin("chat"), _rotate_chat),
+}
+
+# the records of alice's rings, as `--machine ring --all` prints them
+_ID_SEEN = "identity-ed25519 bob {bob_id} seen 0"
+_ID_COMPARED = "identity-ed25519 bob {bob_id} fingerprint-comparison 0"
+_CHAT = "chat-x25519 bob {bob_chat} signature-verified 0"
+_SHARING = "sharing-rsa bob {bob_sharing} signature-verified 0"
+
+_ID_MISMATCH = (
+    "error[fingerprint-mismatch]: fingerprint mismatch for 'bob' "
+    "(identity-ed25519): tracked {bob_id}, fetched key has {forged_id}\n"
+)
+_WRONG = "1" * 40
+_HUMAN_CHAT = (
+    "key type: chat-x25519\npublic key: {bob_chat_b64}\n"
+    "method: signature-verified\nfetches: 3\n"
+)
+
+
+# world, argv after alice's options, exit code, stdout, stderr, and the
+# records alice's rings hold after it (None: she still has no identity dir);
+# "{name}" is a fact of the world
+CONTACT_OUTCOMES = [
+    pytest.param(
+        "fresh", "--machine fetch bob chat", EXIT_OK,
+        "chat-x25519\t{bob_chat_b64}\tsignature-verified\t3\n", "", [_ID_SEEN, _CHAT],
+        id="fetch-chat-cold",
+    ),
+    pytest.param(
+        "fresh", "fetch bob chat", EXIT_OK, _HUMAN_CHAT, "", [_ID_SEEN, _CHAT],
+        id="fetch-chat-cold-human",
+    ),
+    pytest.param(
+        "sharing pinned", "--machine fetch bob sharing", EXIT_OK,
+        "sharing-rsa\t{bob_sharing_b64}\tsignature-verified\t1\n", "",
+        [_ID_SEEN, _SHARING],
+        id="fetch-sharing-warm",
+    ),
+    *(
+        pytest.param(
+            "fresh", f"--machine fetch bob {name}", EXIT_OK,
+            "identity-ed25519\t{bob_id_b64}\tseen\t1\n", "", [_ID_SEEN],
+            id=f"fetch-{name}",
+        )
+        for name in ("identity", "identity-ed25519")
+    ),
+    pytest.param(
+        "fresh", "fetch ghost chat", EXIT_MISSING_KEY, "",
+        "error[missing-key]: 'ghost' has no published chat-x25519 key\n", [],
+        id="fetch-ghost",
+    ),
+    *(
+        pytest.param(
+            "no store", f"fetch nobody {alias}", EXIT_MISSING_KEY, "",
+            f"error[missing-key]: 'nobody' has no published {name} key\n", [],
+            id=f"fetch-unpublished-{alias}",
+        )
+        for alias, name in [
+            ("identity", "identity"),
+            ("chat", "chat-x25519"),
+            ("sharing", "sharing-rsa"),
+        ]
+    ),
+    pytest.param(
+        "identity substituted", "fetch bob identity", EXIT_FINGERPRINT_MISMATCH, "",
+        _ID_MISMATCH, [_ID_SEEN],
+        id="fetch-identity-substituted",
+    ),
+    # the identity alarm comes before any verdict on the sub-key
+    pytest.param(
+        "identity substituted", "fetch bob chat", EXIT_FINGERPRINT_MISMATCH, "",
+        _ID_MISMATCH, [_ID_SEEN],
+        id="fetch-chat-identity-substituted",
+    ),
+    # the identity pinned on the way stays when the chat key alarms
+    pytest.param(
+        "chat forged", "fetch bob chat", EXIT_SIGNATURE_INVALID, "",
+        "error[signature-invalid]: signature verification failed for 'bob' "
+        "chat-x25519 key {forged_chat}\n",
+        [_ID_SEEN],
+        id="fetch-chat-forged",
+    ),
+    pytest.param(
+        "chat rotated", "fetch bob chat", EXIT_KEY_CHANGED, "",
+        "error[key-changed-warning]: 'bob' chat-x25519 key changed from {bob_chat} "
+        "to {new_chat} (signature valid); reset the record to accept\n",
+        [_ID_SEEN, _CHAT],
+        id="fetch-chat-rotated",
+    ),
+    pytest.param(
+        "identity pinned", "verify bob {bob_id}", EXIT_OK,
+        "fingerprint comparison recorded for bob: {bob_id_grouped}\n", "",
+        [_ID_COMPARED],
+        id="verify-hex",
+    ),
+    pytest.param(
+        "identity pinned", "verify bob {bob_id_upper}", EXIT_OK,
+        "fingerprint comparison recorded for bob: {bob_id_grouped}\n", "",
+        [_ID_COMPARED],
+        id="verify-grouped-upper",
+    ),
+    pytest.param(
+        "identity pinned", "--machine verify bob {bob_id}", EXIT_OK,
+        "verified\tbob\t{bob_id}\n", "", [_ID_COMPARED],
+        id="verify-machine",
+    ),
+    pytest.param(
+        "identity pinned", f"verify bob {_WRONG}", EXIT_FINGERPRINT_MISMATCH, "",
+        f"error[comparison-failed]: asserted fingerprint {_WRONG} does not match "
+        "the one tracked for 'bob' ({bob_id})\n"
+        "DO NOT TRUST 'bob' until the fingerprints match\n",
+        [_ID_SEEN],
+        id="verify-wrong",
+    ),
+    pytest.param(
+        "fresh", f"verify bob {_WRONG}", EXIT_ERROR, "",
+        "error[missing-record]: no tracked identity key for 'bob'; load it first\n",
+        [],
+        id="verify-untracked",
+    ),
+    pytest.param(
+        "fresh", "credentials", EXIT_OK, "{alice_id_grouped}\n", "", [],
+        id="credentials-own",
+    ),
+    pytest.param(
+        "fresh", "--machine credentials", EXIT_OK, "{alice_id}\n", "", [],
+        id="credentials-own-machine",
+    ),
+    pytest.param(
+        "nothing", "credentials", EXIT_MISSING_KEY, "",
+        "error[missing-key]: own identity key not initialised; run init first\n",
+        None,
+        id="credentials-own-uninitialised",
+    ),
+    pytest.param(
+        "fresh", "credentials bob", EXIT_OK, "{bob_id_grouped}\n", "", [_ID_SEEN],
+        id="credentials-contact",
+    ),
+    pytest.param(
+        "fresh", "--machine credentials bob", EXIT_OK, "{bob_id}\n", "", [_ID_SEEN],
+        id="credentials-contact-machine",
+    ),
+    pytest.param(
+        "identity substituted", "credentials bob", EXIT_FINGERPRINT_MISMATCH, "",
+        _ID_MISMATCH, [_ID_SEEN],
+        id="credentials-contact-substituted",
+    ),
+]
+
+
+def run_in_world(env, capsys, world, argv):
+    """Build ``world``, then run ``argv`` as alice, with her ``--user``;
+    returns the run's (code, stdout, stderr) and the world's facts."""
+    facts = {}
+    for step in _WORLDS[world]:
+        step(env, capsys, facts)
+    command = argv.format_map(facts).split(" ")
+    return env.run(*env.user_args("alice"), *command, capsys=capsys), facts
+
+
+class TestContactOutcomes:
+    """Each row builds a named world, runs one contact command as alice, with
+    her ``--user``, and checks its exit code, its exact stdout and stderr, and
+    every record alice's rings hold after it. The expected fingerprints and
+    base64 come from the world's key material, through ``fingerprint_oracle``,
+    never from another command's output."""
+
+    @pytest.mark.parametrize("world, argv, code, out, err, records", CONTACT_OUTCOMES)
+    def test_row(self, env, capsys, world, argv, code, out, err, records):
+        result, facts = run_in_world(env, capsys, world, argv)
+        assert result == (code, out.format_map(facts), err.format_map(facts))
+        home = env.home("alice")
+        if records is None:
+            assert not home.exists()
+            return
+        rows = "".join(
+            record.format_map(facts).replace(" ", "\t") + "\n" for record in records
+        )
+        ring = env.run("--home", home, "--machine", "ring", "--all", capsys=capsys)
+        assert ring == (EXIT_OK, rows, "")
+
+    def test_every_exit_code_is_reached(self):
+        """The README's exit codes are cli's, and each is some row's outcome
+        or, for a usage error, a TestParsing case's."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = readme[readme.index("Exit codes:") :].split("\n\n")[0]
+        documented = {int(code) for code in re.findall(r"`(\d+)`", sentence)}
+        constants = {
+            value for name, value in vars(cli).items() if name.startswith("EXIT_")
+        }
+        reached = {row.values[2] for row in CONTACT_OUTCOMES}
+        reached.add(ENTRY_POINT_CASES["unknown-scenario"][1])
+        assert documented == constants == reached
 
 
 class TestFetch:
-    def test_first_fetch_three_round_trips(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        code, out, _ = env.run(
-            *env.user_args("alice"), "--machine", "fetch", "bob", "chat", capsys=capsys
-        )
-        assert code == EXIT_OK
-        label, key_b64, method, fetches = out.strip().split("\t")
-        assert label == "chat-x25519"
-        assert method == "signature-verified"
-        assert fetches == "3"
+    """Each fetch alarm by its exit code and its error code alone."""
 
-    def test_reload_single_round_trip(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        env.run(*env.user_args("alice"), "fetch", "bob", "sharing", capsys=capsys)
-        code, out, _ = env.run(
-            *env.user_args("alice"),
-            "--machine",
-            "fetch",
-            "bob",
-            "sharing",
-            capsys=capsys,
-        )
-        assert code == EXIT_OK
-        assert out.strip().split("\t")[3] == "1"
-
-    def test_identity_fetch(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        code, out, _ = env.run(
-            *env.user_args("alice"),
-            "--machine",
-            "fetch",
-            "bob",
-            "identity-ed25519",
-            capsys=capsys,
-        )
-        assert code == EXIT_OK
-        assert out.strip().split("\t")[2] == "seen"
-
-    def test_missing_contact_exits_5(self, env, capsys):
-        init_user(env, capsys, "alice")
-        code, _, err = env.run(
-            *env.user_args("alice"), "fetch", "ghost", "chat", capsys=capsys
-        )
-        assert code == EXIT_MISSING_KEY
-        assert "error[missing-key]" in err
-
-    @pytest.mark.parametrize(
-        "alias, name",
-        [("identity", "identity"), ("chat", "chat-x25519"), ("sharing", "sharing-rsa")],
-    )
-    def test_unpublished_key_text(self, env, capsys, alias, name):
-        env.home("alice").mkdir()
-        code, out, err = env.run(
-            *env.user_args("alice"), "fetch", "nobody", alias, capsys=capsys
-        )
-        assert (code, out) == (EXIT_MISSING_KEY, "")
-        assert err == f"error[missing-key]: 'nobody' has no published {name} key\n"
+    @staticmethod
+    def fetch(env, capsys, world, alias):
+        (code, _, err), _ = run_in_world(env, capsys, world, f"fetch bob {alias}")
+        return code, err.split(":")[0]
 
     def test_substituted_identity_exits_2(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        env.run(*env.user_args("alice"), "fetch", "bob", "identity", capsys=capsys)
-        store = AttributeStore(env.store_path)
-        store.publish("bob", "ed25519_pub", generate_identity_keypair().public)
-        store.save()
-        code, _, err = env.run(
-            *env.user_args("alice"), "fetch", "bob", "identity", capsys=capsys
+        assert self.fetch(env, capsys, "identity substituted", "identity") == (
+            EXIT_FINGERPRINT_MISMATCH,
+            "error[fingerprint-mismatch]",
         )
-        assert code == EXIT_FINGERPRINT_MISMATCH
-        assert "error[fingerprint-mismatch]" in err
 
     def test_substituted_subkey_exits_3(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        store = AttributeStore(env.store_path)
-        store.publish("bob", "x25519_pub", generate_chat_keypair().public)
-        store.save()
-        code, _, err = env.run(
-            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+        assert self.fetch(env, capsys, "chat forged", "chat") == (
+            EXIT_SIGNATURE_INVALID,
+            "error[signature-invalid]",
         )
-        assert code == EXIT_SIGNATURE_INVALID
-        assert "error[signature-invalid]" in err
 
     def test_legitimate_rotation_exits_4(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        env.run(*env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys)
-        # bob rotates properly: new key, new valid signature
-        identity = load_own_material(env.home("bob")).identity
-        new_chat = generate_chat_keypair()
-        store = AttributeStore(env.store_path)
-        store.publish("bob", "x25519_pub", new_chat.public)
-        store.publish(
-            "bob",
-            "sig_x25519",
-            sign_public_key(identity, KeyType.CHAT_X25519, new_chat.public).sig,
+        assert self.fetch(env, capsys, "chat rotated", "chat") == (
+            EXIT_KEY_CHANGED,
+            "error[key-changed-warning]",
         )
-        store.save()
-        code, _, err = env.run(
-            *env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys
+
+
+class TestAlarmStderr:
+    """Each alarm reaches stderr through ``main`` as exactly these bytes;
+    only the fingerprints, which differ from run to run, are masked."""
+
+    @staticmethod
+    def alarm(env, capsys, world, argv):
+        (code, out, err), _ = run_in_world(env, capsys, world, argv)
+        assert out == ""
+        return code, re.sub(r"\b[0-9a-f]{40}\b", "<fp>", err)
+
+    def test_substituted_identity_key(self, env, capsys):
+        world = "identity substituted"
+        assert self.alarm(env, capsys, world, "fetch bob identity") == (
+            EXIT_FINGERPRINT_MISMATCH,
+            "error[fingerprint-mismatch]: fingerprint mismatch for 'bob' "
+            "(identity-ed25519): tracked <fp>, fetched key has <fp>\n",
         )
-        assert code == EXIT_KEY_CHANGED
-        assert "error[key-changed-warning]" in err
+
+    def test_forged_subkey(self, env, capsys):
+        assert self.alarm(env, capsys, "chat forged", "fetch bob chat") == (
+            EXIT_SIGNATURE_INVALID,
+            "error[signature-invalid]: signature verification failed for 'bob' "
+            "chat-x25519 key <fp>\n",
+        )
+
+    def test_rotation(self, env, capsys):
+        assert self.alarm(env, capsys, "chat rotated", "fetch bob chat") == (
+            EXIT_KEY_CHANGED,
+            "error[key-changed-warning]: 'bob' chat-x25519 key changed from <fp> "
+            "to <fp> (signature valid); reset the record to accept\n",
+        )
+
+    def test_wrong_verify(self, env, capsys):
+        assert self.alarm(env, capsys, "identity pinned", f"verify bob {_WRONG}") == (
+            EXIT_FINGERPRINT_MISMATCH,
+            "error[comparison-failed]: asserted fingerprint <fp> does not match "
+            "the one tracked for 'bob' (<fp>)\n"
+            "DO NOT TRUST 'bob' until the fingerprints match\n",
+        )
 
 
 def _corrupt_store(document, shape):
@@ -1034,71 +1154,6 @@ class TestMissingHome:
         assert not home.exists()
 
 
-class TestAlarmStderr:
-    """Each alarm reaches stderr through ``main`` as exactly these bytes;
-    only the fingerprints, which differ from run to run, are masked."""
-
-    @staticmethod
-    def masked(text):
-        return re.sub(r"\b[0-9a-f]{40}\b", "<fp>", text)
-
-    def alarm(self, env, capsys, *command):
-        code, out, err = env.run(*env.user_args("alice"), *command, capsys=capsys)
-        assert out == ""
-        return code, self.masked(err)
-
-    @pytest.fixture
-    def contacts(self, env, capsys):
-        init_user(env, capsys, "alice")
-        init_user(env, capsys, "bob")
-        return AttributeStore(env.store_path)
-
-    def test_substituted_identity_key(self, env, capsys, contacts):
-        env.run(*env.user_args("alice"), "fetch", "bob", "identity", capsys=capsys)
-        contacts.publish("bob", "ed25519_pub", generate_identity_keypair().public)
-        contacts.save()
-        assert self.alarm(env, capsys, "fetch", "bob", "identity") == (
-            EXIT_FINGERPRINT_MISMATCH,
-            "error[fingerprint-mismatch]: fingerprint mismatch for 'bob' "
-            "(identity-ed25519): tracked <fp>, fetched key has <fp>\n",
-        )
-
-    def test_forged_subkey(self, env, capsys, contacts):
-        contacts.publish("bob", "x25519_pub", generate_chat_keypair().public)
-        contacts.save()
-        assert self.alarm(env, capsys, "fetch", "bob", "chat") == (
-            EXIT_SIGNATURE_INVALID,
-            "error[signature-invalid]: signature verification failed for 'bob' "
-            "chat-x25519 key <fp>\n",
-        )
-
-    def test_rotation(self, env, capsys, contacts):
-        env.run(*env.user_args("alice"), "fetch", "bob", "chat", capsys=capsys)
-        identity = load_own_material(env.home("bob")).identity
-        new_chat = generate_chat_keypair()
-        contacts.publish("bob", "x25519_pub", new_chat.public)
-        contacts.publish(
-            "bob",
-            "sig_x25519",
-            sign_public_key(identity, KeyType.CHAT_X25519, new_chat.public).sig,
-        )
-        contacts.save()
-        assert self.alarm(env, capsys, "fetch", "bob", "chat") == (
-            EXIT_KEY_CHANGED,
-            "error[key-changed-warning]: 'bob' chat-x25519 key changed from <fp> "
-            "to <fp> (signature valid); reset the record to accept\n",
-        )
-
-    def test_wrong_verify(self, env, capsys, contacts):
-        env.run(*env.user_args("alice"), "credentials", "bob", capsys=capsys)
-        assert self.alarm(env, capsys, "verify", "bob", "1" * 40) == (
-            EXIT_FINGERPRINT_MISMATCH,
-            "error[comparison-failed]: asserted fingerprint <fp> does not match "
-            "the one tracked for 'bob' (<fp>)\n"
-            "DO NOT TRUST 'bob' until the fingerprints match\n",
-        )
-
-
 class TestFileErrors:
     """An unreadable or unwritable file in the identity dir is reported as
     an init error naming the file, not as a traceback."""
@@ -1242,15 +1297,20 @@ def unescape(shown: str) -> str:
 
 
 class TestHandleDisplay:
-    """``ring`` and ``verify`` print a backslash and every character that is
-    not printable as its escape, so no handle can split or forge a line."""
+    """``ring`` and ``verify`` print a backslash, a space and every character
+    that is not printable as its escape, so no handle can split or forge a
+    line, or a field of a human line."""
 
-    def test_newline_handle_prints_one_line_per_record(self, env, capsys):
-        for user in ("alice", "bob", "eve\nbob"):
+    @staticmethod
+    def assert_one_line_per_record(env, capsys, handle, shown):
+        """alice pins bob and ``handle``: each mode of ``ring`` prints one
+        five-field line per record, ``handle`` as ``shown``, and each mode
+        of ``verify`` prints one line for ``handle``."""
+        for user in ("alice", "bob", handle):
             init_user(env, capsys, user)
-        for handle in ("bob", "eve\nbob"):
+        for contact in ("bob", handle):
             code, _, err = env.run(
-                *env.user_args("alice"), "fetch", handle, "identity", capsys=capsys
+                *env.user_args("alice"), "fetch", contact, "identity", capsys=capsys
             )
             assert code == EXIT_OK, err
         home = env.home("alice")
@@ -1259,21 +1319,30 @@ class TestHandleDisplay:
         )
         _, human, _ = env.run("--home", home, "ring", "identity", capsys=capsys)
         rows = [line.split("\t") for line in machine.splitlines()]
-        assert [row[1] for row in rows] == ["bob", "eve\\nbob"]
+        assert [row[1] for row in rows] == ["bob", shown]
         assert all(len(row) == 5 for row in rows)
         assert human.splitlines() == [" ".join(row) for row in rows]
+        fields = [line.split(" ") for line in human.splitlines()]
+        assert all(len(line) == 5 for line in fields)
+        assert [line[1] for line in fields].count("bob") == 1
 
-        _, fp, _ = env.run(
-            *env.user_args("eve\nbob"), "--machine", "credentials", capsys=capsys
-        )
+        own = load_own_material(env.home(handle)).identity.public
+        fp = fingerprint_oracle(own).hex()
         for mode in (["--machine"], []):
             code, out, _ = env.run(
-                *env.user_args("alice"), *mode, "verify", "eve\nbob", fp.strip(),
-                capsys=capsys,
+                *env.user_args("alice"), *mode, "verify", handle, fp, capsys=capsys
             )
             assert code == EXIT_OK
-            assert len(out.splitlines()) == 1 and "eve\\nbob" in out
-        assert out.startswith("fingerprint comparison recorded for eve\\nbob: ")
+            assert len(out.splitlines()) == 1 and shown in out
+        assert out == f"fingerprint comparison recorded for {shown}: {grouped(fp)}\n"
+
+    def test_newline_handle_prints_one_line_per_record(self, env, capsys):
+        self.assert_one_line_per_record(env, capsys, "eve\nbob", "eve\\nbob")
+
+    def test_spaced_handle_prints_one_line_per_record(self, env, capsys):
+        forged = " " + "bb" * 20 + " fingerprint-comparison 0 |"
+        shown = forged.replace(" ", "\\x20")
+        self.assert_one_line_per_record(env, capsys, "bob" + forged, "bob" + shown)
 
     @settings(deadline=None, max_examples=60)
     @given(st.lists(_HANDLES, min_size=1, max_size=5, unique=True))
@@ -1293,6 +1362,7 @@ class TestHandleDisplay:
         assert all(len(row) == 5 for row in rows)
         assert [unescape(row[1]) for row in rows] == [h for h, _ in ring.records()]
         assert human == [" ".join(row) for row in rows]
+        assert all(len(line.split(" ")) == 5 for line in human)
 
 
 class TestSimulate:
@@ -1350,6 +1420,13 @@ class TestSimulate:
         assert code == EXIT_USAGE
 
 
+# argv, and the code ``python -m keyauth.cli`` exits with
+ENTRY_POINT_CASES = {
+    "help": (["--help"], EXIT_OK),
+    "unknown-scenario": (["simulate", "mitm-quantum"], EXIT_USAGE),
+}
+
+
 class TestParsing:
     def test_help_exits_zero(self, env, capsys):
         code, out, _ = env.run("--help", capsys=capsys)
@@ -1375,9 +1452,7 @@ class TestParsing:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "argv, expected",
-        [(["--help"], EXIT_OK), (["simulate", "mitm-quantum"], EXIT_USAGE)],
-        ids=["help", "unknown-scenario"],
+        "argv, expected", list(ENTRY_POINT_CASES.values()), ids=list(ENTRY_POINT_CASES)
     )
     def test_module_entry_point_exit_codes(self, argv, expected):
         """``python -m keyauth.cli`` goes through ``run``, which exits with
